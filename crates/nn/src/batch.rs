@@ -12,7 +12,7 @@
 //! loop to the batched path never changes a result, only its cost.
 
 use crate::graph::FeatureShape;
-use crate::layers::RecurrentScratch;
+use crate::layers::{KernelScratch, RecurrentScratch};
 
 /// The flat-row layout of a fixed feature tuple: each sample is one
 /// `stride()`-long `f32` row, features concatenated in program order with
@@ -79,7 +79,8 @@ pub struct InferScratch {
 /// ([`crate::graph::ActorCritic::forward_batch`] /
 /// [`crate::graph::ActorCritic::backward_batch`]): branch gather/scatter
 /// staging, Sequential ping-pong partners, head feature rows and gradient
-/// rows. One instance per trainer; after warm-up no call allocates.
+/// rows, and the kernels' own transposition buffers. One instance per
+/// trainer; after warm-up no call allocates.
 #[derive(Debug, Clone, Default)]
 pub struct TrainScratch {
     pub(crate) gather: Vec<f32>,
@@ -94,6 +95,7 @@ pub struct TrainScratch {
     pub(crate) dconcat: Vec<f32>,
     pub(crate) dbranch: Vec<f32>,
     pub(crate) dx_sink: Vec<f32>,
+    pub(crate) kernel: KernelScratch,
 }
 
 /// Numerically stable softmax computed in place — bit-identical to

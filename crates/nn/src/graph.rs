@@ -14,8 +14,8 @@
 
 use crate::batch::{FeatureLayout, InferScratch, TrainScratch};
 use crate::layers::{
-    Activation, ActivationLayer, AnyLayer, Conv1d, Dense, Layer, Lstm, RecurrentScratch, Rnn,
-    Sequential,
+    Activation, ActivationLayer, AnyLayer, Conv1d, Dense, KernelScratch, Layer, Lstm,
+    RecurrentScratch, Rnn, Sequential,
 };
 use crate::param::Param;
 use rand::rngs::StdRng;
@@ -321,6 +321,7 @@ impl FeatureNet {
         concat: &mut Vec<f32>,
         branch_ys: &mut Vec<f32>,
         ping: &mut Vec<f32>,
+        ks: &mut KernelScratch,
     ) {
         let stride: usize = self.feature_lens.iter().sum();
         debug_assert_eq!(rows.len(), n * stride, "flat row batch size mismatch");
@@ -339,19 +340,22 @@ impl FeatureNet {
             for r in 0..n {
                 gather.extend_from_slice(&rows[r * stride + off..r * stride + off + len]);
             }
-            branch.forward_batch(gather, n, branch_ys, ping);
+            branch.forward_batch(gather, n, branch_ys, ping, ks);
             for (r, ys) in branch_ys.chunks_exact(dim).enumerate() {
                 concat[r * concat_dim + coff..r * concat_dim + coff + dim].copy_from_slice(ys);
             }
             off += len;
             coff += dim;
         }
-        self.trunk.forward_batch(concat, n, out, ping);
+        self.trunk.forward_batch(concat, n, out, ping, ks);
     }
 
     /// Batched [`FeatureNet::backward`] over the batch cached by
     /// [`FeatureNet::forward_batch`]: trunk first, then each branch on its
-    /// column slice of the concat gradient, all in serial row order.
+    /// column slice of the concat gradient, all in serial row order. The
+    /// branches' input gradients are never read, so they are not computed;
+    /// `dx_sink` only partners the branches' ping-pong buffers.
+    #[allow(clippy::too_many_arguments)]
     fn backward_batch(
         &mut self,
         grad_out: &[f32],
@@ -360,8 +364,10 @@ impl FeatureNet {
         dbranch: &mut Vec<f32>,
         dx_sink: &mut Vec<f32>,
         ping: &mut Vec<f32>,
+        ks: &mut KernelScratch,
     ) {
-        self.trunk.backward_batch(grad_out, n, dconcat, ping);
+        self.trunk
+            .backward_batch(grad_out, n, true, dconcat, ping, ks);
         let concat_dim: usize = self.branch_dims.iter().sum();
         debug_assert_eq!(dconcat.len(), n * concat_dim);
         let mut coff = 0;
@@ -372,7 +378,7 @@ impl FeatureNet {
                     &dconcat[r * concat_dim + coff..r * concat_dim + coff + dim],
                 );
             }
-            branch.backward_batch(dbranch, n, dx_sink, ping);
+            branch.backward_batch(dbranch, n, false, dx_sink, ping, ks);
             coff += dim;
         }
     }
@@ -584,17 +590,30 @@ impl ActorCritic {
             branch_ys,
             actor_rows,
             critic_rows,
+            kernel,
             ..
         } = scratch;
         self.actor_net
-            .forward_batch(rows, n, actor_rows, gather, concat, branch_ys, ping);
-        self.actor_head.forward_batch(actor_rows, n, logits);
+            .forward_batch(rows, n, actor_rows, gather, concat, branch_ys, ping, kernel);
+        self.actor_head.forward_batch(actor_rows, n, logits, kernel);
         match &mut self.critic_net {
             Some(net) => {
-                net.forward_batch(rows, n, critic_rows, gather, concat, branch_ys, ping);
-                self.critic_head.forward_batch(critic_rows, n, values);
+                net.forward_batch(
+                    rows,
+                    n,
+                    critic_rows,
+                    gather,
+                    concat,
+                    branch_ys,
+                    ping,
+                    kernel,
+                );
+                self.critic_head
+                    .forward_batch(critic_rows, n, values, kernel);
             }
-            None => self.critic_head.forward_batch(actor_rows, n, values),
+            None => self
+                .critic_head
+                .forward_batch(actor_rows, n, values, kernel),
         }
     }
 
@@ -615,15 +634,18 @@ impl ActorCritic {
             dconcat,
             dbranch,
             dx_sink,
+            kernel,
             ..
         } = scratch;
-        self.actor_head.backward_batch(dlogits, n, d_actor);
-        self.critic_head.backward_batch(dvalues, n, d_critic);
+        self.actor_head
+            .backward_batch(dlogits, n, true, d_actor, kernel);
+        self.critic_head
+            .backward_batch(dvalues, n, true, d_critic, kernel);
         match &mut self.critic_net {
             Some(net) => {
                 self.actor_net
-                    .backward_batch(d_actor, n, dconcat, dbranch, dx_sink, ping);
-                net.backward_batch(d_critic, n, dconcat, dbranch, dx_sink, ping);
+                    .backward_batch(d_actor, n, dconcat, dbranch, dx_sink, ping, kernel);
+                net.backward_batch(d_critic, n, dconcat, dbranch, dx_sink, ping, kernel);
             }
             None => {
                 // Shared trunk: sum the head gradients before one backward
@@ -631,7 +653,7 @@ impl ActorCritic {
                 d_total.clear();
                 d_total.extend(d_actor.iter().zip(d_critic.iter()).map(|(a, c)| a + c));
                 self.actor_net
-                    .backward_batch(d_total, n, dconcat, dbranch, dx_sink, ping);
+                    .backward_batch(d_total, n, dconcat, dbranch, dx_sink, ping, kernel);
             }
         }
     }

@@ -3,6 +3,37 @@
 use super::Layer;
 use crate::param::Param;
 
+/// Runs `$body` with `$kind` rebound to a value whose variant is known at
+/// compile time in each arm, so the per-element `match` inside
+/// [`Activation::apply`] and [`Activation::derivative`] folds away and the
+/// loop in `$body` runs branch-free over one formula.
+macro_rules! with_kind {
+    ($kind:expr, |$k:ident| $body:block) => {
+        match $kind {
+            Activation::Relu => {
+                let $k = Activation::Relu;
+                $body
+            }
+            Activation::LeakyRelu { alpha } => {
+                let $k = Activation::LeakyRelu { alpha };
+                $body
+            }
+            Activation::Tanh => {
+                let $k = Activation::Tanh;
+                $body
+            }
+            Activation::Sigmoid => {
+                let $k = Activation::Sigmoid;
+                $body
+            }
+            Activation::Linear => {
+                let $k = Activation::Linear;
+                $body
+            }
+        }
+    };
+}
+
 /// Supported activation kinds. `LeakyRelu`'s slope is the paper's discovered
 /// FCC architecture change; the rest appear in the original Pensieve design
 /// or in generated architectures.
@@ -24,6 +55,7 @@ pub enum Activation {
 }
 
 impl Activation {
+    #[inline(always)]
     fn apply(&self, x: f32) -> f32 {
         match self {
             Activation::Relu => x.max(0.0),
@@ -40,7 +72,17 @@ impl Activation {
         }
     }
 
+    /// `ys[i] = f(xs[i])` with the kind `match` hoisted out of the loop.
+    fn apply_all(self, xs: &[f32], ys: &mut [f32]) {
+        with_kind!(self, |kind| {
+            for (y, &x) in ys.iter_mut().zip(xs) {
+                *y = kind.apply(x);
+            }
+        });
+    }
+
     /// Derivative expressed via input `x` and output `y = f(x)`.
+    #[inline(always)]
     fn derivative(&self, x: f32, y: f32) -> f32 {
         match self {
             Activation::Relu => {
@@ -94,9 +136,7 @@ impl ActivationLayer {
     pub(crate) fn infer_into(&self, x: &[f32], y: &mut [f32]) {
         debug_assert_eq!(x.len(), self.dim);
         debug_assert_eq!(y.len(), self.dim);
-        for (y_i, &x_i) in y.iter_mut().zip(x) {
-            *y_i = self.kind.apply(x_i);
-        }
+        self.kind.apply_all(x, y);
     }
 
     /// Batched caching forward over `n` rows: appends `n * dim` outputs to
@@ -107,24 +147,36 @@ impl ActivationLayer {
         debug_assert_eq!(xs.len(), n * self.dim);
         self.cache_x.clear();
         self.cache_x.extend_from_slice(xs);
-        self.cache_y.clear();
-        self.cache_y.extend(xs.iter().map(|&v| self.kind.apply(v)));
+        self.cache_y.resize(xs.len(), 0.0);
+        self.kind.apply_all(xs, &mut self.cache_y);
         ys.clear();
         ys.extend_from_slice(&self.cache_y);
     }
 
     /// Batched backward over the rows cached by
     /// [`ActivationLayer::forward_batch`]. Stateless per element, so row
-    /// order is irrelevant; gradients are bit-identical to `backward`.
-    pub(crate) fn backward_batch(&mut self, dys: &[f32], n: usize, dxs: &mut Vec<f32>) {
+    /// order is irrelevant; gradients are bit-identical to `backward`. With
+    /// `need_dx` false there is nothing to compute and `dxs` is left empty.
+    pub(crate) fn backward_batch(
+        &mut self,
+        dys: &[f32],
+        n: usize,
+        need_dx: bool,
+        dxs: &mut Vec<f32>,
+    ) {
         debug_assert_eq!(dys.len(), n * self.dim);
         debug_assert_eq!(self.cache_x.len(), n * self.dim);
         dxs.clear();
-        dxs.extend(
-            dys.iter()
-                .zip(self.cache_x.iter().zip(&self.cache_y))
-                .map(|(&g, (&x, &y))| g * self.kind.derivative(x, y)),
-        );
+        if !need_dx {
+            return;
+        }
+        dxs.resize(dys.len(), 0.0);
+        let (xs, ys) = (&self.cache_x, &self.cache_y);
+        with_kind!(self.kind, |kind| {
+            for (dx, (&g, (&x, &y))) in dxs.iter_mut().zip(dys.iter().zip(xs.iter().zip(ys))) {
+                *dx = g * kind.derivative(x, y);
+            }
+        });
     }
 }
 

@@ -5,6 +5,10 @@
 //! kernel 4, then flattens. Output layout is filter-major:
 //! `y[f * M + m]` where `M = L - K + 1`.
 
+use super::kernel::{
+    add_chunks, dot_rows, gather, lanes_of, outer_acc, push_transposed, store_transposed,
+    KernelScratch, Lanes, LANES,
+};
 use super::Layer;
 use crate::param::{xavier_limit, Param};
 use rand::rngs::StdRng;
@@ -50,79 +54,139 @@ impl Conv1d {
         self.kernel
     }
 
-    /// Inference-only forward writing into `y` (`out_dim` long): no input
-    /// cache, no allocation, bit-identical arithmetic to
-    /// [`Layer::forward`].
-    pub(crate) fn infer_into(&self, x: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(x.len(), self.in_len, "conv1d input size mismatch");
-        let m_len = self.out_len();
-        debug_assert_eq!(y.len(), self.filters * m_len);
-        for f in 0..self.filters {
-            let w = &self.w.w[f * self.kernel..(f + 1) * self.kernel];
-            let bias = self.b.w[f];
-            for m in 0..m_len {
-                let mut acc = bias;
-                for (k, &wk) in w.iter().enumerate() {
-                    acc += wk * x[m + k];
-                }
-                y[f * m_len + m] = acc;
+    /// The one conv forward kernel: for every row of `xs`, output
+    /// `y[f * M + m]` starts from the bias `b[f]` and adds
+    /// `w[f][k]·x[m + k]` in ascending `k` — the arithmetic of
+    /// [`Layer::forward`] — eight filters and four positions at a time.
+    /// `cols(c)` yields the weight chunks of filter chunk `c`, one per
+    /// kernel tap.
+    fn forward_rows<I: Iterator<Item = Lanes> + Clone>(
+        &self,
+        xs: &[f32],
+        ys: &mut [f32],
+        cols: impl Fn(usize) -> I,
+    ) {
+        let (k_len, m_len) = (self.kernel, self.out_len());
+        for (x, y) in xs
+            .chunks_exact(self.in_len)
+            .zip(ys.chunks_exact_mut(self.filters * m_len))
+        {
+            for (c, bias) in self.b.w.chunks(LANES).enumerate() {
+                let f0 = c * LANES;
+                dot_rows(
+                    m_len,
+                    |m| &x[m..m + k_len],
+                    lanes_of(bias),
+                    cols(c),
+                    |m, acc| {
+                        let mut j = 0;
+                        while j < bias.len() {
+                            y[(f0 + j) * m_len + m] = acc[j];
+                            j += 1;
+                        }
+                    },
+                );
             }
         }
+    }
+
+    /// Inference-only forward writing into `y` (`out_dim` long): no input
+    /// cache, no allocation, bit-identical arithmetic to
+    /// [`Layer::forward`]. Reads the weights in place (the last filter
+    /// chunk repeats its final filter in the unused lanes).
+    pub(crate) fn infer_into(&self, x: &[f32], y: &mut [f32]) {
+        debug_assert_eq!(x.len(), self.in_len, "conv1d input size mismatch");
+        debug_assert_eq!(y.len(), self.out_dim());
+        let k_len = self.kernel;
+        self.forward_rows(x, y, |c| {
+            let taps: [&[f32]; LANES] = std::array::from_fn(|j| {
+                let f = (c * LANES + j).min(self.filters - 1);
+                &self.w.w[f * k_len..(f + 1) * k_len]
+            });
+            (0..k_len).map(move |k| gather(&taps, k))
+        });
     }
 
     /// Batched caching forward over `n` rows: appends `n` rows of `out_dim`
     /// outputs to `ys` and caches the inputs for
     /// [`Conv1d::backward_batch`]. Per row bit-identical to
-    /// [`Layer::forward`]; allocation-free after warm-up.
-    pub(crate) fn forward_batch(&mut self, xs: &[f32], n: usize, ys: &mut Vec<f32>) {
+    /// [`Layer::forward`]; allocation-free after warm-up. The weights are
+    /// transposed once per call into filter-chunk-major scratch.
+    pub(crate) fn forward_batch(
+        &mut self,
+        xs: &[f32],
+        n: usize,
+        ys: &mut Vec<f32>,
+        ks: &mut KernelScratch,
+    ) {
         debug_assert_eq!(xs.len(), n * self.in_len, "conv1d batch size mismatch");
+        let k_len = self.kernel;
         self.cache_x.clear();
         self.cache_x.extend_from_slice(xs);
-        let m_len = self.out_len();
-        ys.clear();
-        ys.resize(n * self.filters * m_len, 0.0);
-        for (x, y) in xs
-            .chunks_exact(self.in_len)
-            .zip(ys.chunks_exact_mut(self.filters * m_len))
-        {
-            for f in 0..self.filters {
-                let w = &self.w.w[f * self.kernel..(f + 1) * self.kernel];
-                let bias = self.b.w[f];
-                for m in 0..m_len {
-                    let mut acc = bias;
-                    for (k, &wk) in w.iter().enumerate() {
-                        acc += wk * x[m + k];
-                    }
-                    y[f * m_len + m] = acc;
-                }
-            }
+        ks.wt.clear();
+        for rows in self.w.w.chunks(LANES * k_len) {
+            push_transposed(&mut ks.wt, rows, k_len);
         }
+        ys.clear();
+        ys.resize(n * self.out_dim(), 0.0);
+        self.forward_rows(xs, ys, |c| {
+            ks.wt[c * k_len..(c + 1) * k_len].iter().copied()
+        });
     }
 
-    /// Batched backward over the rows cached by [`Conv1d::forward_batch`]:
-    /// parameter gradients accumulate in serial row order (same per-weight
-    /// addition sequence as `n` single-sample `backward` calls) and per-row
-    /// input gradients land in `dxs`.
-    pub(crate) fn backward_batch(&mut self, dys: &[f32], n: usize, dxs: &mut Vec<f32>) {
-        let m_len = self.out_len();
-        debug_assert_eq!(dys.len(), n * self.filters * m_len);
+    /// Batched backward over the rows cached by [`Conv1d::forward_batch`].
+    /// Parameter gradients accumulate in serial row order, then position
+    /// order (the per-weight addition sequence of `n` single-sample
+    /// `backward` calls), eight filters at a time in transposed
+    /// accumulators written back once per call. With `need_dx`, per-row
+    /// input gradients go to `dxs`; otherwise `dxs` is left empty.
+    pub(crate) fn backward_batch(
+        &mut self,
+        dys: &[f32],
+        n: usize,
+        need_dx: bool,
+        dxs: &mut Vec<f32>,
+        ks: &mut KernelScratch,
+    ) {
+        let (k_len, m_len, filters) = (self.kernel, self.out_len(), self.filters);
+        debug_assert_eq!(dys.len(), n * filters * m_len);
         debug_assert_eq!(self.cache_x.len(), n * self.in_len);
+        for f0 in (0..filters).step_by(LANES) {
+            let width = LANES.min(filters - f0);
+            ks.gs.clear();
+            for g in dys.chunks_exact(filters * m_len) {
+                push_transposed(&mut ks.gs, &g[f0 * m_len..(f0 + width) * m_len], m_len);
+            }
+            add_chunks(&mut self.b.g[f0..f0 + width], &ks.gs);
+
+            let wg = &mut self.w.g[f0 * k_len..(f0 + width) * k_len];
+            ks.acc.clear();
+            push_transposed(&mut ks.acc, wg, k_len);
+            let (xs, in_len) = (&self.cache_x, self.in_len);
+            outer_acc(&mut ks.acc, (n, m_len), &ks.gs, |r| {
+                &xs[r * in_len..(r + 1) * in_len]
+            });
+            store_transposed(&ks.acc, wg, k_len);
+        }
+
         dxs.clear();
+        if !need_dx {
+            return;
+        }
         dxs.resize(n * self.in_len, 0.0);
-        for ((grad_out, x), dx) in dys
-            .chunks_exact(self.filters * m_len)
-            .zip(self.cache_x.chunks_exact(self.in_len))
+        for (grad_out, dx) in dys
+            .chunks_exact(filters * m_len)
             .zip(dxs.chunks_exact_mut(self.in_len))
         {
-            for f in 0..self.filters {
-                let w = &self.w.w[f * self.kernel..(f + 1) * self.kernel];
-                let wg = &mut self.w.g[f * self.kernel..(f + 1) * self.kernel];
-                for m in 0..m_len {
-                    let go = grad_out[f * m_len + m];
-                    self.b.g[f] += go;
-                    for k in 0..self.kernel {
-                        wg[k] += go * x[m + k];
-                        dx[m + k] += go * w[k];
+            for (w, g) in self
+                .w
+                .w
+                .chunks_exact(k_len)
+                .zip(grad_out.chunks_exact(m_len))
+            {
+                for (m, &go) in g.iter().enumerate() {
+                    for (d, &wk) in dx[m..m + k_len].iter_mut().zip(w) {
+                        *d += go * wk;
                     }
                 }
             }

@@ -251,8 +251,16 @@ impl Lstm {
 
     /// Batched backward-through-time over the gate values cached by
     /// [`Lstm::forward_batch`]: rows are processed in serial order, each
-    /// mirroring the single-sample `backward` accumulation exactly.
-    pub(crate) fn backward_batch(&mut self, dys: &[f32], n: usize, dxs: &mut Vec<f32>) {
+    /// mirroring the single-sample `backward` accumulation exactly. With
+    /// `need_dx`, per-row input gradients go to `dxs`; otherwise `dxs` is
+    /// left empty.
+    pub(crate) fn backward_batch(
+        &mut self,
+        dys: &[f32],
+        n: usize,
+        need_dx: bool,
+        dxs: &mut Vec<f32>,
+    ) {
         debug_assert_eq!(dys.len(), n * self.units);
         let u_n = self.units;
         let step = self.step_stride();
@@ -260,11 +268,13 @@ impl Lstm {
         self.scratch_da.clear();
         self.scratch_da.resize(4 * u_n, 0.0);
         dxs.clear();
-        dxs.resize(n * self.seq_len, 0.0);
-        for ((grad_out, row_cache), dx) in dys
+        if need_dx {
+            dxs.resize(n * self.seq_len, 0.0);
+        }
+        for (r, (grad_out, row_cache)) in dys
             .chunks_exact(u_n)
             .zip(self.cache_b.chunks_exact(self.seq_len * step))
-            .zip(dxs.chunks_exact_mut(self.seq_len))
+            .enumerate()
         {
             self.scratch_dh.clear();
             self.scratch_dh.extend_from_slice(grad_out);
@@ -335,7 +345,9 @@ impl Lstm {
                     &mut dxt,
                     &mut self.scratch_dh_prev,
                 );
-                dx[t] = dxt;
+                if need_dx {
+                    dxs[r * self.seq_len + t] = dxt;
+                }
                 std::mem::swap(&mut self.scratch_dh, &mut self.scratch_dh_prev);
             }
         }

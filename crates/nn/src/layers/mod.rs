@@ -1,21 +1,43 @@
 //! Layer zoo: dense, conv1d, RNN, LSTM and activations.
 //!
-//! Layers follow a *single-sample, immediate-backward* discipline: `forward`
-//! caches whatever the matching `backward` needs, and `backward` must be
-//! called while that cache is fresh (the trainer re-forwards each state
-//! right before backpropagating its gradient). Parameter gradients
-//! accumulate across calls until an optimizer step clears them — this is
-//! exactly what episode-batched A2C needs.
+//! Every layer has two forms. The single-sample [`Layer::forward`] /
+//! [`Layer::backward`] pair is the reference: `forward` caches what the
+//! matching `backward` needs, and parameter gradients accumulate across
+//! calls until an optimizer step clears them. The crate-internal batched
+//! forms (`forward_batch` / `backward_batch`, and the cache-free
+//! `infer_into`) are the ones training and rollouts run, and they must be
+//! **bit-identical** to the reference.
+//!
+//! Accumulation-order contract. Rust never fuses `a * b + c` into an FMA
+//! and never reassociates float additions, so the batched kernels may
+//! order their loops freely (tiles, transposed weights, eight chains side
+//! by side; see `kernel`) as long as each output element receives the
+//! same additions in the same order as the reference:
+//!
+//! * a dense output is `b[o] + Σ_k w[o][k]·x[k]`, the sum starting from
+//!   `-0.0` (the `f32: Sum` identity) and adding in ascending `k`;
+//! * a conv output starts from the bias `b[f]` and adds `w[f][k]·x[m + k]`
+//!   in ascending `k`;
+//! * a parameter gradient accumulates its per-sample terms in row order,
+//!   then (for conv) in output-position order, onto its previous value;
+//! * an input gradient starts from `0.0` and adds per-output terms in
+//!   ascending output order;
+//! * the recurrent layers run the reference's own loops, one row at a time.
+//!
+//! A batched backward may skip input gradients nobody reads (the first
+//! layer of a feature branch): parameter gradients never depend on them.
 
 pub mod activation;
 pub mod conv1d;
 pub mod dense;
+mod kernel;
 pub mod lstm;
 pub mod rnn;
 
 pub use activation::{Activation, ActivationLayer};
 pub use conv1d::Conv1d;
 pub use dense::Dense;
+pub(crate) use kernel::KernelScratch;
 pub use lstm::Lstm;
 pub use rnn::Rnn;
 
@@ -148,7 +170,7 @@ impl AnyLayer {
     /// Inference-only forward into a resized `y` buffer: no caches, no
     /// steady-state allocation, bit-identical values to [`Layer::forward`].
     pub(crate) fn infer_into(&self, x: &[f32], y: &mut Vec<f32>, rs: &mut RecurrentScratch) {
-        y.clear();
+        // Every kernel writes all of `y`, so stale values need no zeroing.
         y.resize(self.out_dim(), 0.0);
         match self {
             AnyLayer::Dense(l) => l.infer_into(x, y),
@@ -165,10 +187,16 @@ impl AnyLayer {
     /// `out_dim` values, and the layer caches what
     /// [`AnyLayer::backward_batch`] needs. Per row bit-identical to
     /// [`Layer::forward`]; allocation-free after warm-up.
-    pub(crate) fn forward_batch(&mut self, xs: &[f32], n: usize, ys: &mut Vec<f32>) {
+    pub(crate) fn forward_batch(
+        &mut self,
+        xs: &[f32],
+        n: usize,
+        ys: &mut Vec<f32>,
+        ks: &mut KernelScratch,
+    ) {
         match self {
-            AnyLayer::Dense(l) => l.forward_batch(xs, n, ys),
-            AnyLayer::Conv1d(l) => l.forward_batch(xs, n, ys),
+            AnyLayer::Dense(l) => l.forward_batch(xs, n, ys, ks),
+            AnyLayer::Conv1d(l) => l.forward_batch(xs, n, ys, ks),
             AnyLayer::Rnn(l) => l.forward_batch(xs, n, ys),
             AnyLayer::Lstm(l) => l.forward_batch(xs, n, ys),
             AnyLayer::Act(l) => l.forward_batch(xs, n, ys),
@@ -178,15 +206,23 @@ impl AnyLayer {
     /// Batched backward over the rows cached by
     /// [`AnyLayer::forward_batch`]: accumulates parameter gradients in
     /// serial row order (the exact addition sequence `n` single-sample
-    /// `backward` calls would produce) and writes the per-row input
-    /// gradients to `dxs`.
-    pub(crate) fn backward_batch(&mut self, dys: &[f32], n: usize, dxs: &mut Vec<f32>) {
+    /// `backward` calls would produce). With `need_dx` the per-row input
+    /// gradients land in `dxs`; without it the layer skips them and leaves
+    /// `dxs` empty.
+    pub(crate) fn backward_batch(
+        &mut self,
+        dys: &[f32],
+        n: usize,
+        need_dx: bool,
+        dxs: &mut Vec<f32>,
+        ks: &mut KernelScratch,
+    ) {
         match self {
-            AnyLayer::Dense(l) => l.backward_batch(dys, n, dxs),
-            AnyLayer::Conv1d(l) => l.backward_batch(dys, n, dxs),
-            AnyLayer::Rnn(l) => l.backward_batch(dys, n, dxs),
-            AnyLayer::Lstm(l) => l.backward_batch(dys, n, dxs),
-            AnyLayer::Act(l) => l.backward_batch(dys, n, dxs),
+            AnyLayer::Dense(l) => l.backward_batch(dys, n, need_dx, dxs, ks),
+            AnyLayer::Conv1d(l) => l.backward_batch(dys, n, need_dx, dxs, ks),
+            AnyLayer::Rnn(l) => l.backward_batch(dys, n, need_dx, dxs),
+            AnyLayer::Lstm(l) => l.backward_batch(dys, n, need_dx, dxs),
+            AnyLayer::Act(l) => l.backward_batch(dys, n, need_dx, dxs),
         }
     }
 }
@@ -237,9 +273,13 @@ impl Sequential {
         ping: &mut Vec<f32>,
         rs: &mut RecurrentScratch,
     ) {
-        out.clear();
-        out.extend_from_slice(x);
-        for l in &self.layers {
+        let Some((first, rest)) = self.layers.split_first() else {
+            out.clear();
+            out.extend_from_slice(x);
+            return;
+        };
+        first.infer_into(x, out, rs);
+        for l in rest {
             l.infer_into(out, ping, rs);
             std::mem::swap(out, ping);
         }
@@ -256,30 +296,42 @@ impl Sequential {
         n: usize,
         out: &mut Vec<f32>,
         ping: &mut Vec<f32>,
+        ks: &mut KernelScratch,
     ) {
-        out.clear();
-        out.extend_from_slice(xs);
-        for l in &mut self.layers {
-            l.forward_batch(out, n, ping);
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            out.clear();
+            out.extend_from_slice(xs);
+            return;
+        };
+        first.forward_batch(xs, n, out, ks);
+        for l in rest {
+            l.forward_batch(out, n, ping, ks);
             std::mem::swap(out, ping);
         }
     }
 
     /// Batched backward over the batch cached by
     /// [`Sequential::forward_batch`]: walks the chain in reverse, each layer
-    /// accumulating parameter gradients in serial row order. The input
-    /// gradients land in `dxs` (`n * in_dim` values).
+    /// accumulating parameter gradients in serial row order. With `need_dx`
+    /// the input gradients land in `dxs` (`n * in_dim` values); without it
+    /// the first layer skips them and `dxs` ends empty.
     pub(crate) fn backward_batch(
         &mut self,
         dys: &[f32],
         n: usize,
+        need_dx: bool,
         dxs: &mut Vec<f32>,
         ping: &mut Vec<f32>,
+        ks: &mut KernelScratch,
     ) {
-        dxs.clear();
-        dxs.extend_from_slice(dys);
-        for l in self.layers.iter_mut().rev() {
-            l.backward_batch(dxs, n, ping);
+        let Some((last, rest)) = self.layers.split_last_mut() else {
+            dxs.clear();
+            dxs.extend_from_slice(dys);
+            return;
+        };
+        last.backward_batch(dys, n, need_dx || !rest.is_empty(), dxs, ks);
+        for (i, l) in rest.iter_mut().enumerate().rev() {
+            l.backward_batch(dxs, n, need_dx || i > 0, ping, ks);
             std::mem::swap(dxs, ping);
         }
     }
@@ -442,6 +494,62 @@ mod tests {
         let x = [0.3, -0.7, 1.1, 0.0, 0.5];
         gradcheck::check_input_grad(&mut s, &x, 2e-2);
         gradcheck::check_param_grad(&mut s, &x, 2e-2);
+    }
+
+    /// Skipping the input gradient of a branch's first layer leaves every
+    /// parameter gradient bit-identical, and the input gradient it skips
+    /// matches the single-sample `backward` when it is asked for.
+    #[test]
+    fn skipping_the_input_gradient_keeps_parameter_gradients() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let n = 7;
+        let chains = [
+            Sequential::new(vec![
+                AnyLayer::Conv1d(Conv1d::new(9, 5, 3, &mut rng)),
+                AnyLayer::Act(ActivationLayer::new(Activation::Relu, 35)),
+            ]),
+            Sequential::new(vec![
+                AnyLayer::Dense(Dense::new(11, 9, &mut rng)),
+                AnyLayer::Act(ActivationLayer::new(Activation::Tanh, 9)),
+            ]),
+            Sequential::new(vec![AnyLayer::Rnn(Rnn::new(6, 4, &mut rng))]),
+            Sequential::new(vec![AnyLayer::Lstm(Lstm::new(5, 3, &mut rng))]),
+        ];
+        for chain in chains {
+            let (d_in, d_out) = (chain.in_dim(), chain.out_dim());
+            let xs: Vec<f32> = (0..n * d_in)
+                .map(|i| ((i * 37 % 23) as f32 - 11.0) / 7.0)
+                .collect();
+            let dys: Vec<f32> = (0..n * d_out)
+                .map(|i| ((i * 13 % 17) as f32 - 8.0) / 9.0)
+                .collect();
+            let (mut out, mut ping) = (Vec::new(), Vec::new());
+            let mut ks = KernelScratch::default();
+            let mut with_dx = chain.clone();
+            with_dx.forward_batch(&xs, n, &mut out, &mut ping, &mut ks);
+            let mut dxs = Vec::new();
+            with_dx.backward_batch(&dys, n, true, &mut dxs, &mut ping, &mut ks);
+            let mut without_dx = chain.clone();
+            without_dx.forward_batch(&xs, n, &mut out, &mut ping, &mut ks);
+            let mut skipped = Vec::new();
+            without_dx.backward_batch(&dys, n, false, &mut skipped, &mut ping, &mut ks);
+
+            let bits = |g: &[f32]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(skipped.is_empty(), "a skipped input gradient stays empty");
+            for (a, b) in with_dx.params_mut().iter().zip(without_dx.params_mut()) {
+                assert_eq!(bits(&a.g), bits(&b.g));
+            }
+            let mut serial = chain.clone();
+            for (r, (x, dy)) in xs
+                .chunks_exact(d_in)
+                .zip(dys.chunks_exact(d_out))
+                .enumerate()
+            {
+                let _ = serial.forward(x);
+                let dx = serial.backward(dy);
+                assert_eq!(bits(&dx), bits(&dxs[r * d_in..(r + 1) * d_in]), "row {r}");
+            }
+        }
     }
 
     #[test]

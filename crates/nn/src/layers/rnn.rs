@@ -122,21 +122,31 @@ impl Rnn {
 
     /// Batched backward-through-time over the trajectories cached by
     /// [`Rnn::forward_batch`]: rows are processed in serial order, each
-    /// mirroring the single-sample `backward` accumulation exactly.
-    pub(crate) fn backward_batch(&mut self, dys: &[f32], n: usize, dxs: &mut Vec<f32>) {
+    /// mirroring the single-sample `backward` accumulation exactly. With
+    /// `need_dx`, per-row input gradients go to `dxs`; otherwise `dxs` is
+    /// left empty.
+    pub(crate) fn backward_batch(
+        &mut self,
+        dys: &[f32],
+        n: usize,
+        need_dx: bool,
+        dxs: &mut Vec<f32>,
+    ) {
         debug_assert_eq!(dys.len(), n * self.units);
         let h_stride = (self.seq_len + 1) * self.units;
         debug_assert_eq!(self.cache_bh.len(), n * h_stride);
         dxs.clear();
-        dxs.resize(n * self.seq_len, 0.0);
-        for ((grad_out, (x, hs)), dx) in dys
+        if need_dx {
+            dxs.resize(n * self.seq_len, 0.0);
+        }
+        for (r, (grad_out, (x, hs))) in dys
             .chunks_exact(self.units)
             .zip(
                 self.cache_bx
                     .chunks_exact(self.seq_len)
                     .zip(self.cache_bh.chunks_exact(h_stride)),
             )
-            .zip(dxs.chunks_exact_mut(self.seq_len))
+            .enumerate()
         {
             self.scratch_dh.clear();
             self.scratch_dh.extend_from_slice(grad_out);
@@ -154,16 +164,20 @@ impl Rnn {
                 );
                 self.scratch_dh_prev.clear();
                 self.scratch_dh_prev.resize(self.units, 0.0);
+                let mut dxt = 0.0f32;
                 for (u, &dau) in self.scratch_da.iter().enumerate().take(self.units) {
                     self.wx.g[u] += dau * xt;
                     self.b.g[u] += dau;
-                    dx[t] += dau * self.wx.w[u];
+                    dxt += dau * self.wx.w[u];
                     let row_w = &self.wh.w[u * self.units..(u + 1) * self.units];
                     let row_g = &mut self.wh.g[u * self.units..(u + 1) * self.units];
                     for v in 0..self.units {
                         row_g[v] += dau * h_prev[v];
                         self.scratch_dh_prev[v] += dau * row_w[v];
                     }
+                }
+                if need_dx {
+                    dxs[r * self.seq_len + t] = dxt;
                 }
                 std::mem::swap(&mut self.scratch_dh, &mut self.scratch_dh_prev);
             }

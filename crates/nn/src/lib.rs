@@ -7,8 +7,8 @@
 //! * [`param`] — flat parameter/gradient storage with Adam state and global
 //!   gradient-norm clipping;
 //! * [`layers`] — dense, 1-D convolution, vanilla RNN and LSTM layers plus
-//!   activations, each with hand-written backward passes (single-sample,
-//!   immediate-backward discipline);
+//!   activations, each with a hand-written single-sample backward pass (the
+//!   reference) and batched kernels bit-identical to it;
 //! * [`graph`] — Pensieve's branch-merge actor-critic topology: one branch
 //!   per input feature (temporal features get conv/RNN/LSTM branches,
 //!   scalars get dense branches), a merge trunk, and actor/critic heads that

@@ -4,6 +4,9 @@
 //! architectures (all branch kinds, both head modes), random feature
 //! shapes, and random batch sizes.
 
+mod common;
+
+use common::{randomize_params, tail_net, tiny_nets, BATCH_SIZES};
 use nada_nn::a2c::{softmax, A2cTrainer, EpisodeBuffer};
 use nada_nn::batch::{FeatureLayout, InferScratch, TrainScratch};
 use nada_nn::graph::{ActorCritic, ArchConfig, BranchKind, FeatureShape, HeadMode};
@@ -155,58 +158,99 @@ fn serial_update_reference(
     )
 }
 
+/// `forward_batch` + `backward_batch` ≡ per-row `forward_flat` +
+/// `backward`: outputs, every accumulated gradient, and the full Adam state
+/// (`w`, `m`, `v`) after a step, all bitwise.
+fn assert_batched_matches_serial(
+    net: &ActorCritic,
+    shapes: &[FeatureShape],
+    rng: &mut StdRng,
+    batch: usize,
+) {
+    let n_actions = net.n_actions();
+    let mut serial = net.clone();
+    let mut batched = net.clone();
+    let layout = FeatureLayout::new(shapes);
+    let stride = layout.stride();
+    let rows = random_rows(rng, stride, batch);
+    let dlogits: Vec<f32> = (0..batch * n_actions)
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
+    let dvalues: Vec<f32> = (0..batch).map(|_| rng.gen_range(-1.0..1.0)).collect();
+
+    // Serial: immediate-backward discipline, one row at a time.
+    let mut ser_logits = Vec::new();
+    let mut ser_values = Vec::new();
+    for (r, row) in rows.chunks_exact(stride).enumerate() {
+        let (lg, v) = serial.forward_flat(row);
+        ser_logits.extend(lg);
+        ser_values.push(v);
+        serial.backward(&dlogits[r * n_actions..(r + 1) * n_actions], dvalues[r]);
+    }
+
+    // Batched: one forward, one backward.
+    let mut scratch = TrainScratch::default();
+    let mut logits = Vec::new();
+    let mut values = Vec::new();
+    batched.forward_batch(&rows, &layout, &mut logits, &mut values, &mut scratch);
+    batched.backward_batch(&dlogits, &dvalues, &mut scratch);
+
+    assert_eq!(bits(&logits), bits(&ser_logits));
+    assert_eq!(bits(&values), bits(&ser_values));
+    for (pa, pb) in serial.params_mut().iter().zip(batched.params_mut().iter()) {
+        assert_eq!(bits(&pa.g), bits(&pb.g));
+    }
+
+    // And the optimizer state diverges nowhere after a step.
+    let mut opt_a = Adam::new(1e-3);
+    opt_a.step(&mut serial.params_mut());
+    let mut opt_b = Adam::new(1e-3);
+    opt_b.step(&mut batched.params_mut());
+    for (pa, pb) in serial.params_mut().iter().zip(batched.params_mut().iter()) {
+        assert_eq!(bits(&pa.w), bits(&pb.w));
+        assert_eq!(bits(&pa.m), bits(&pb.m));
+        assert_eq!(bits(&pa.v), bits(&pb.v));
+    }
+}
+
+/// Every tile tail: all of `in_dim`, `out_dim` and filters from 1 to 17,
+/// at every batch size around the tile width.
+#[test]
+fn batched_backward_matches_serial_at_every_tile_tail() {
+    let mut rng = StdRng::seed_from_u64(0xB7A1);
+    for d in 1..=17 {
+        for (case, &batch) in BATCH_SIZES.iter().enumerate() {
+            let (mut net, shapes) = tail_net(d, case);
+            randomize_params(&mut net, &mut rng);
+            assert_batched_matches_serial(&net, &shapes, &mut rng, batch);
+        }
+    }
+}
+
+/// The exact Tiny-scale shapes the searches train.
+#[test]
+fn batched_backward_matches_serial_at_tiny_shapes() {
+    let mut rng = StdRng::seed_from_u64(0xB71E);
+    for (mut net, shapes) in tiny_nets() {
+        randomize_params(&mut net, &mut rng);
+        for batch in BATCH_SIZES {
+            assert_batched_matches_serial(&net, &shapes, &mut rng, batch);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(30))]
 
     /// `forward_batch` + `backward_batch` ≡ per-row `forward_flat` +
-    /// `backward`: outputs, every accumulated gradient, and the full Adam
-    /// state (`w`, `m`, `v`) after a step, all bitwise.
+    /// `backward`, for random architectures and feature shapes.
     #[test]
     fn batched_backward_matches_serial(seed in 0u64..1_000_000, pick in 0u32..64, batch in 1usize..6) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBB);
         let shapes = shapes_for(&mut rng);
         let n_actions = rng.gen_range(2..7);
-        let mut serial = ActorCritic::build(&arch_for(pick), &shapes, n_actions, seed ^ 0xAB);
-        let mut batched = serial.clone();
-        let layout = FeatureLayout::new(&shapes);
-        let stride = layout.stride();
-        let rows = random_rows(&mut rng, stride, batch);
-        let dlogits: Vec<f32> = (0..batch * n_actions).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let dvalues: Vec<f32> = (0..batch).map(|_| rng.gen_range(-1.0..1.0)).collect();
-
-        // Serial: immediate-backward discipline, one row at a time.
-        let mut ser_logits = Vec::new();
-        let mut ser_values = Vec::new();
-        for (r, row) in rows.chunks_exact(stride).enumerate() {
-            let (lg, v) = serial.forward_flat(row);
-            ser_logits.extend(lg);
-            ser_values.push(v);
-            serial.backward(&dlogits[r * n_actions..(r + 1) * n_actions], dvalues[r]);
-        }
-
-        // Batched: one forward, one backward.
-        let mut scratch = TrainScratch::default();
-        let mut logits = Vec::new();
-        let mut values = Vec::new();
-        batched.forward_batch(&rows, &layout, &mut logits, &mut values, &mut scratch);
-        batched.backward_batch(&dlogits, &dvalues, &mut scratch);
-
-        prop_assert_eq!(bits(&logits), bits(&ser_logits));
-        prop_assert_eq!(bits(&values), bits(&ser_values));
-        for (pa, pb) in serial.params_mut().iter().zip(batched.params_mut().iter()) {
-            prop_assert_eq!(bits(&pa.g), bits(&pb.g));
-        }
-
-        // And the optimizer state diverges nowhere after a step.
-        let mut opt_a = Adam::new(1e-3);
-        opt_a.step(&mut serial.params_mut());
-        let mut opt_b = Adam::new(1e-3);
-        opt_b.step(&mut batched.params_mut());
-        for (pa, pb) in serial.params_mut().iter().zip(batched.params_mut().iter()) {
-            prop_assert_eq!(bits(&pa.w), bits(&pb.w));
-            prop_assert_eq!(bits(&pa.m), bits(&pb.m));
-            prop_assert_eq!(bits(&pa.v), bits(&pb.v));
-        }
+        let net = ActorCritic::build(&arch_for(pick), &shapes, n_actions, seed ^ 0xAB);
+        assert_batched_matches_serial(&net, &shapes, &mut rng, batch);
     }
 
     /// The production `A2cTrainer::update` ≡ the serial per-step reference:

@@ -3,6 +3,9 @@
 //! architectures (all branch kinds, both head modes), random feature
 //! shapes, and random batch sizes.
 
+mod common;
+
+use common::{randomize_params, tail_net, tiny_nets, BATCH_SIZES};
 use nada_nn::a2c::A2cTrainer;
 use nada_nn::batch::{FeatureLayout, InferScratch};
 use nada_nn::graph::{ActorCritic, ArchConfig, BranchKind, FeatureShape, HeadMode};
@@ -71,6 +74,59 @@ fn split_row(row: &[f32], shapes: &[FeatureShape]) -> Vec<Vec<f32>> {
     out
 }
 
+/// `policy_batch` + `values_batch` ≡ `forward`, bitwise, row by row.
+fn assert_inference_matches_forward(net: &mut ActorCritic, shapes: &[FeatureShape], rows: &[f32]) {
+    let n_actions = net.n_actions();
+    let layout = FeatureLayout::new(shapes);
+    let batch = rows.len() / layout.stride();
+    let mut logits = Vec::new();
+    let mut values = Vec::new();
+    let mut scratch = InferScratch::default();
+    net.policy_batch(rows, &layout, &mut logits, &mut scratch);
+    net.values_batch(rows, &layout, &mut values, &mut scratch);
+    assert_eq!(logits.len(), batch * n_actions);
+    assert_eq!(values.len(), batch);
+
+    for (b, row) in rows.chunks_exact(layout.stride()).enumerate() {
+        let (ref_logits, ref_value) = net.forward(&split_row(row, shapes));
+        let batch_row = &logits[b * n_actions..(b + 1) * n_actions];
+        assert_eq!(
+            batch_row.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            ref_logits.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            "logits of row {b}"
+        );
+        assert_eq!(values[b].to_bits(), ref_value.to_bits(), "value of row {b}");
+    }
+}
+
+/// Every tile tail: all of `in_dim`, `out_dim` and filters from 1 to 17,
+/// at every batch size around the tile width.
+#[test]
+fn inference_matches_forward_at_every_tile_tail() {
+    let mut rng = StdRng::seed_from_u64(0x7A11);
+    for d in 1..=17 {
+        for (case, &batch) in BATCH_SIZES.iter().enumerate() {
+            let (mut net, shapes) = tail_net(d, case);
+            randomize_params(&mut net, &mut rng);
+            let rows = random_rows(&mut rng, FeatureLayout::new(&shapes).stride(), batch);
+            assert_inference_matches_forward(&mut net, &shapes, &rows);
+        }
+    }
+}
+
+/// The exact Tiny-scale shapes the searches train.
+#[test]
+fn inference_matches_forward_at_tiny_shapes() {
+    let mut rng = StdRng::seed_from_u64(0x71E7);
+    for (mut net, shapes) in tiny_nets() {
+        randomize_params(&mut net, &mut rng);
+        for batch in BATCH_SIZES {
+            let rows = random_rows(&mut rng, FeatureLayout::new(&shapes).stride(), batch);
+            assert_inference_matches_forward(&mut net, &shapes, &rows);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -83,24 +139,7 @@ proptest! {
         let mut net = ActorCritic::build(&arch_for(pick), &shapes, n_actions, seed ^ 0xAB);
         let layout = FeatureLayout::new(&shapes);
         let rows = random_rows(&mut rng, layout.stride(), batch);
-
-        let mut logits = Vec::new();
-        let mut values = Vec::new();
-        let mut scratch = InferScratch::default();
-        net.policy_batch(&rows, &layout, &mut logits, &mut scratch);
-        net.values_batch(&rows, &layout, &mut values, &mut scratch);
-        prop_assert_eq!(logits.len(), batch * n_actions);
-        prop_assert_eq!(values.len(), batch);
-
-        for (b, row) in rows.chunks_exact(layout.stride()).enumerate() {
-            let (ref_logits, ref_value) = net.forward(&split_row(row, &shapes));
-            let batch_row = &logits[b * n_actions..(b + 1) * n_actions];
-            prop_assert_eq!(
-                batch_row.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                ref_logits.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
-            prop_assert_eq!(values[b].to_bits(), ref_value.to_bits());
-        }
+        assert_inference_matches_forward(&mut net, &shapes, &rows);
     }
 
     /// Lockstep acting with pre-drawn uniforms ≡ serial acting: a trainer

@@ -153,6 +153,9 @@ fn serve_connection(
     stop: &AtomicBool,
     started: Instant,
 ) -> io::Result<()> {
+    // Replies are small and latency-bound: without this, Nagle's algorithm
+    // holds each reply until the client's delayed ACK (~40 ms).
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
     loop {
         match read_frame(&mut stream) {

@@ -54,15 +54,18 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Writes one frame: length prefix, payload, flush.
+/// Writes one frame — length prefix and payload as one buffer, so a TCP
+/// stream sends them in one segment rather than leaving the payload to
+/// Nagle's algorithm behind the prefix — then flushes.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<(), WireError> {
     let len = payload.len();
     if len > MAX_FRAME {
         return Err(WireError::Oversized(len));
     }
-    let header = (len as u32).to_be_bytes();
-    w.write_all(&header)
-        .and_then(|_| w.write_all(payload.as_bytes()))
+    let mut frame = Vec::with_capacity(4 + len);
+    frame.extend_from_slice(&(len as u32).to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)
         .and_then(|_| w.flush())
         .map_err(|e| WireError::Io(e.to_string()))
 }
@@ -126,6 +129,38 @@ mod tests {
             self.at += 1;
             Ok(1)
         }
+    }
+
+    /// A writer that accepts everything and counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        for (i, payload) in ["", "x", &"job ".repeat(1000)].into_iter().enumerate() {
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, i + 1, "frame {i} took more than one write");
+        }
+        let mut r = std::io::Cursor::new(w.bytes);
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("x"));
+        assert_eq!(read_frame(&mut r).unwrap().unwrap().len(), 4000);
     }
 
     #[test]
