@@ -2,11 +2,11 @@
 //! search and the iterative feedback search in one process, printing each
 //! report (the source for EXPERIMENTS.md).
 //!
-//! Experiments are independent, so they fan out through the same
-//! order-preserving parallel map the pipeline itself uses (`nada-exec`),
-//! with a small worker cap — each experiment already parallelizes its
-//! training runs internally, so a few concurrent experiments saturate the
-//! machine without oversubscribing it.
+//! Experiments are independent, so they fan out through a dedicated
+//! `nada-exec` work pool (the same order-preserving engine the pipeline
+//! uses) of small width — each experiment already parallelizes its
+//! training runs internally over the process-wide pool, so a few
+//! concurrent experiments saturate the machine without oversubscribing it.
 
 use nada_bench::experiments as exp;
 use std::time::Instant;
@@ -40,7 +40,7 @@ fn main() {
         }),
     ];
     let t0 = Instant::now();
-    let reports = nada_exec::parallel_map_workers(runs, EXPERIMENT_WORKERS, &|(name, run)| {
+    let reports = nada_exec::WorkPool::new(EXPERIMENT_WORKERS).map(runs, &|(name, run)| {
         let started = Instant::now();
         // Isolate per-experiment panics so one broken harness cannot
         // discard every other finished report, and note completions on

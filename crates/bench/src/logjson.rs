@@ -78,7 +78,7 @@ pub fn event_json(label: &str, event: &SearchEvent) -> String {
             obj.str_field("event", "stage_started");
             obj.str_field("stage", stage.name());
         }
-        SearchEvent::StageFinished { stage } => {
+        SearchEvent::StageFinished { stage, .. } => {
             obj.str_field("event", "stage_finished");
             obj.str_field("stage", stage.name());
         }
@@ -136,10 +136,6 @@ pub fn event_json(label: &str, event: &SearchEvent) -> String {
             obj.num_field("epochs_spent", *epochs_spent as f64);
             obj.num_field("skipped", *skipped as f64);
         }
-        SearchEvent::Resumed { next_stage } => {
-            obj.str_field("event", "resumed");
-            obj.str_field("next_stage", next_stage.name());
-        }
         SearchEvent::RoundStarted { round, rounds } => {
             obj.str_field("event", "round_started");
             obj.num_field("round", *round as f64);
@@ -149,6 +145,7 @@ pub fn event_json(label: &str, event: &SearchEvent) -> String {
             round,
             best_score,
             best_so_far,
+            ..
         } => {
             obj.str_field("event", "round_finished");
             obj.num_field("round", *round as f64);
@@ -245,6 +242,7 @@ mod tests {
                 round: 0,
                 best_score: -0.5,
                 best_so_far: -0.5,
+                elapsed: std::time::Duration::ZERO,
             },
         ];
         for event in &events {

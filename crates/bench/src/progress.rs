@@ -42,7 +42,7 @@ impl SearchObserver for ProgressObserver {
     fn on_event(&self, event: &SearchEvent) {
         match event {
             SearchEvent::StageStarted { stage } => self.line(&format!("{}...", stage.name())),
-            SearchEvent::StageFinished { stage } => match stage {
+            SearchEvent::StageFinished { stage, .. } => match stage {
                 Stage::Precheck => self.line(&format!(
                     "precheck done: {} accepted, {} rejected",
                     self.accepted.load(Ordering::Relaxed),
@@ -95,9 +95,6 @@ impl SearchObserver for ProgressObserver {
                 "budget exhausted in {} after {epochs_spent} epochs ({skipped} items skipped)",
                 stage.name()
             )),
-            SearchEvent::Resumed { next_stage } => {
-                self.line(&format!("resumed from snapshot at {}", next_stage.name()))
-            }
             SearchEvent::RoundStarted { round, rounds } => {
                 self.line(&format!("round {}/{rounds}...", round + 1))
             }
@@ -105,6 +102,7 @@ impl SearchObserver for ProgressObserver {
                 round,
                 best_score,
                 best_so_far,
+                ..
             } => self.line(&format!(
                 "round {} done: best {best_score:.4} (best so far {best_so_far:.4})",
                 round + 1

@@ -25,10 +25,12 @@ use crate::jobspec::JobSpec;
 use crate::observer::{SearchEvent, SearchObserver};
 use crate::pipeline::{Nada, SearchOutcome, SearchStats};
 use crate::session::SearchSession;
-use crate::snapshot::{config_fingerprint, SnapshotError};
+use crate::snapshot::config_fingerprint;
 use nada_llm::{DesignKind, LlmClient};
+use serde::value::Error as CodecError;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Builds the LLM for one round. Taking the *round index* (not a client)
 /// is what makes interrupted runs resumable: round `k` gets an
@@ -63,9 +65,9 @@ impl fmt::Display for DriverError {
 
 impl std::error::Error for DriverError {}
 
-impl From<SnapshotError> for DriverError {
-    fn from(e: SnapshotError) -> Self {
-        DriverError::Checkpoint(e.0)
+impl From<CodecError> for DriverError {
+    fn from(e: CodecError) -> Self {
+        DriverError::Checkpoint(e.to_string())
     }
 }
 
@@ -283,6 +285,7 @@ impl<'a> SearchDriver<'a> {
             return Err(DriverError::RoundsExhausted);
         }
         let round = self.next_round;
+        let started = Instant::now();
         self.emit(&SearchEvent::RoundStarted {
             round,
             rounds: self.rounds,
@@ -342,6 +345,7 @@ impl<'a> SearchDriver<'a> {
             round,
             best_score: self.summaries.last().expect("just pushed").best_score,
             best_so_far,
+            elapsed: started.elapsed(),
         });
         self.write_checkpoint()?;
         Ok(self.summaries.last().expect("just pushed"))

@@ -193,8 +193,8 @@ impl DriverCheckpoint {
     }
 
     /// Parses a checkpoint back from its text form.
-    pub fn decode(s: &str) -> Result<Self, crate::snapshot::SnapshotError> {
-        serde::text::from_str(s).map_err(|e| crate::snapshot::SnapshotError(e.to_string()))
+    pub fn decode(s: &str) -> Result<Self, CodecError> {
+        serde::text::from_str(s)
     }
 
     /// Fails loudly when the checkpoint's embedded job spec contradicts

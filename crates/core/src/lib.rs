@@ -28,7 +28,7 @@
 //! * [`score`] — §3.1's scoring protocol (mean of last 10 checkpoints,
 //!   median over seeds);
 //! * [`session`] — the staged search: Generate → Precheck → Probe →
-//!   Screen → Finalize as a typed, resumable state machine;
+//!   Screen → Finalize as a typed state machine;
 //! * [`driver`] — the multi-round feedback loop: sessions in sequence,
 //!   each seeded with the previous rounds' ranked outcomes, with
 //!   checkpointed cross-round state;
@@ -42,7 +42,8 @@
 //! * [`metrics`] — the [`metrics::MetricsObserver`] bridging that stream
 //!   into the process-wide `nada-obs` registry;
 //! * [`budget`] — graceful mid-stage truncation of a running search;
-//! * [`snapshot`] — serde snapshot/resume for interrupted searches;
+//! * [`snapshot`] — pipeline fingerprints and the serde codecs shared by
+//!   checkpoints, job specs and job results;
 //! * [`pipeline`] — the [`pipeline::Nada`] pipeline handle: per-design
 //!   building blocks, the one-shot search wrappers, and design
 //!   combination (Table 5);
@@ -82,7 +83,6 @@ pub use observer::{CollectingObserver, FnObserver, SearchEvent, SearchObserver};
 pub use pipeline::{Nada, PrecheckStats, SearchOutcome, SearchStats};
 pub use registry::WorkloadRegistry;
 pub use score_cache::{CacheView, ScoreCache};
-pub use session::{SearchSession, Stage};
-pub use snapshot::{SessionSnapshot, SnapshotError};
+pub use session::{SearchSession, SessionSnapshot, Stage};
 pub use train::{train_design, TrainError, TrainOutcome, TrainRunConfig};
 pub use workload::{AbrWorkload, CcWorkload, Workload};

@@ -27,29 +27,16 @@
 //! | `pipeline_finalists_evaluated_total` | counter | finalists through the full protocol |
 //! | `pipeline_budget_exhausted_total` | counter | stages truncated by a budget |
 
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
 use crate::observer::{SearchEvent, SearchObserver};
 use crate::session::Stage;
 
-/// In-flight timing state. Stage events arrive in order from the
-/// session's own thread and rounds arrive in order from the driver's, so
-/// one slot per level suffices; the mutex only serializes against
-/// concurrent per-candidate events, which never touch the timers.
-#[derive(Default)]
-struct Timers {
-    stage: Option<(Stage, Instant)>,
-    round: Option<Instant>,
-}
-
 /// A [`SearchObserver`] recording every event into the global metrics
-/// registry. Stateless apart from stage/round start instants; safe to
-/// share (via `Arc`) across concurrent sessions — per-stage timings from
-/// interleaved sessions would interleave too, so give concurrent
-/// searches their own instance when exact stage walls matter.
+/// registry. Stateless: stage and round walls come stamped on the finish
+/// events, so one instance (via `Arc`) can serve any number of
+/// concurrently running sessions and drivers.
 pub struct MetricsObserver {
-    timers: Mutex<Timers>,
     rounds: Arc<nada_obs::Counter>,
     round_duration: Arc<nada_obs::Histogram>,
     pool_generated: Arc<nada_obs::Counter>,
@@ -74,7 +61,6 @@ impl MetricsObserver {
     /// touches the registry mutex.
     pub fn new() -> Self {
         Self {
-            timers: Mutex::new(Timers::default()),
             rounds: nada_obs::counter("pipeline_rounds_total"),
             round_duration: nada_obs::latency_histogram("pipeline_round_duration_ns"),
             pool_generated: nada_obs::counter("pipeline_pool_generated_total"),
@@ -106,24 +92,10 @@ impl MetricsObserver {
 impl SearchObserver for MetricsObserver {
     fn on_event(&self, event: &SearchEvent) {
         match event {
-            SearchEvent::StageStarted { stage } => {
-                self.timers.lock().expect("metrics timers").stage = Some((*stage, Instant::now()));
-            }
-            SearchEvent::StageFinished { stage } => {
-                let started = {
-                    let mut timers = self.timers.lock().expect("metrics timers");
-                    match timers.stage.take() {
-                        Some((s, at)) if s == *stage => Some(at),
-                        other => {
-                            // Unmatched finish (e.g. a resumed session's
-                            // first event): restore and skip the sample.
-                            timers.stage = other;
-                            None
-                        }
-                    }
-                };
-                if let (Some(at), Some(h)) = (started, Self::stage_histogram(*stage)) {
-                    h.record_duration(at.elapsed());
+            SearchEvent::StageStarted { .. } | SearchEvent::RoundStarted { .. } => {}
+            SearchEvent::StageFinished { stage, elapsed } => {
+                if let Some(h) = Self::stage_histogram(*stage) {
+                    h.record_duration(*elapsed);
                 }
             }
             SearchEvent::PoolGenerated { n } => self.pool_generated.add(*n as u64),
@@ -144,15 +116,9 @@ impl SearchObserver for MetricsObserver {
             }
             SearchEvent::FinalistEvaluated { .. } => self.finalists.inc(),
             SearchEvent::BudgetExhausted { .. } => self.budget_exhausted.inc(),
-            SearchEvent::Resumed { .. } => {}
-            SearchEvent::RoundStarted { .. } => {
-                self.timers.lock().expect("metrics timers").round = Some(Instant::now());
-            }
-            SearchEvent::RoundFinished { .. } => {
+            SearchEvent::RoundFinished { elapsed, .. } => {
                 self.rounds.inc();
-                if let Some(at) = self.timers.lock().expect("metrics timers").round.take() {
-                    self.round_duration.record_duration(at.elapsed());
-                }
+                self.round_duration.record_duration(*elapsed);
             }
         }
     }
@@ -161,6 +127,7 @@ impl SearchObserver for MetricsObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn events_land_in_the_global_registry() {
@@ -178,6 +145,7 @@ mod tests {
         });
         obs.on_event(&SearchEvent::StageFinished {
             stage: Stage::Screen,
+            elapsed: Duration::from_micros(5),
         });
         obs.on_event(&SearchEvent::RoundStarted {
             round: 0,
@@ -187,6 +155,7 @@ mod tests {
             round: 0,
             best_score: 1.0,
             best_so_far: 1.0,
+            elapsed: Duration::from_millis(1),
         });
         assert_eq!(obs.accepted.get(), acc0 + 1);
         assert_eq!(obs.rejected.get(), rej0 + 1);
@@ -195,17 +164,6 @@ mod tests {
             nada_obs::latency_histogram("pipeline_stage_screen_duration_ns").count()
                 > screen_count0
         );
-    }
-
-    #[test]
-    fn unmatched_stage_finish_records_nothing() {
-        let obs = MetricsObserver::new();
-        let h = nada_obs::latency_histogram("pipeline_stage_generate_duration_ns");
-        let before = h.count();
-        obs.on_event(&SearchEvent::StageFinished {
-            stage: Stage::Generate,
-        });
-        assert_eq!(h.count(), before);
     }
 
     #[test]

@@ -11,9 +11,14 @@
 //! out, so their interleaving across candidates is nondeterministic;
 //! counts and per-candidate payloads are not. Stage-transition events are
 //! always emitted from the session's own thread, in stage order.
+//!
+//! Finish events carry their own wall time (`elapsed`), stamped by the
+//! session or driver that ran the stage or round, so an observer shared by
+//! concurrently running searches needs no per-search timing state.
 
 use crate::session::Stage;
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// One thing that happened inside a search session.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,6 +32,8 @@ pub enum SearchEvent {
     StageFinished {
         /// The stage.
         stage: Stage,
+        /// Wall time from the stage's start to its finish.
+        elapsed: Duration,
     },
     /// The generation stage produced a candidate pool.
     PoolGenerated {
@@ -89,11 +96,6 @@ pub enum SearchEvent {
         /// Work items (candidates or finalists) left unprocessed.
         skipped: usize,
     },
-    /// A session was rebuilt from a snapshot, about to run `next_stage`.
-    Resumed {
-        /// The first stage the resumed session will run.
-        next_stage: Stage,
-    },
     /// A [`crate::driver::SearchDriver`] began a feedback round.
     RoundStarted {
         /// Zero-based round index.
@@ -110,6 +112,8 @@ pub enum SearchEvent {
         best_score: f64,
         /// The best score across all rounds so far (non-decreasing).
         best_so_far: f64,
+        /// Wall time from the round's start to its finish.
+        elapsed: Duration,
     },
 }
 
@@ -206,6 +210,7 @@ mod tests {
         });
         obs.on_event(&SearchEvent::StageFinished {
             stage: Stage::Probe,
+            elapsed: Duration::ZERO,
         });
         assert_eq!(hits.load(Ordering::Relaxed), 1);
     }

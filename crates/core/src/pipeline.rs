@@ -40,13 +40,12 @@ use nada_nn::ArchConfig;
 use nada_traces::dataset::TraceDataset;
 use std::sync::Arc;
 
-// The order-preserving parallel maps the pipeline fans out with live in
-// `nada-exec` (shared with the bench harnesses); re-exported here so
-// `nada_core::pipeline::parallel_map` keeps working. The pipeline stages
-// themselves go through `pool_map`/`pool_map_indexed` — the process-wide
-// worker pool — so concurrent stages and nested fan-outs share cores
-// (override the width with `NADA_WORKERS`).
-pub use nada_exec::{parallel_map, pool_map, pool_map_indexed};
+// The order-preserving parallel map the pipeline fans out with lives in
+// `nada-exec` (shared with the bench harnesses). `pool_map` and
+// `pool_map_indexed` run on the process-wide worker pool, so concurrent
+// stages and nested fan-outs share cores (override the width with
+// `NADA_WORKERS`).
+pub use nada_exec::{pool_map, pool_map_indexed};
 
 /// Table 2 row: pre-check pass counts for one candidate pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -62,9 +61,8 @@ pub struct PrecheckStats {
 
 impl PrecheckStats {
     /// Records one pre-check verdict. The single source of truth for how
-    /// verdicts map to Table 2 counters — `precheck_all` and the session's
-    /// pool construction must agree, or a resumed session would reject its
-    /// own snapshot's statistics.
+    /// verdicts map to Table 2 counters, so `precheck_all` and the
+    /// session's pool construction always agree.
     pub fn record(&mut self, result: &Result<CompiledDesign, RejectReason>) {
         match result {
             Ok(_) => {
@@ -427,7 +425,7 @@ impl Nada {
     /// full evaluation of the finalists (original architecture throughout).
     ///
     /// Thin wrapper over [`SearchSession`]; use the session directly for
-    /// observation, budgets, or snapshot/resume.
+    /// observation, budgets, or stage-by-stage control.
     pub fn run_state_search(&self, llm: &mut dyn LlmClient) -> SearchOutcome {
         SearchSession::new(self, DesignKind::State)
             .run(llm)
@@ -438,7 +436,7 @@ impl Nada {
     /// normalization check does not apply to architecture pools.
     ///
     /// Thin wrapper over [`SearchSession`]; use the session directly for
-    /// observation, budgets, or snapshot/resume.
+    /// observation, budgets, or stage-by-stage control.
     pub fn run_arch_search(&self, llm: &mut dyn LlmClient) -> SearchOutcome {
         SearchSession::new(self, DesignKind::Architecture)
             .run(llm)
@@ -592,9 +590,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
+    fn pool_map_preserves_order() {
         let xs: Vec<usize> = (0..100).collect();
-        let ys = parallel_map(xs, &|x| x * 2);
+        let ys = pool_map(xs, &|x| x * 2);
         assert_eq!(ys, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 

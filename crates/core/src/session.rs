@@ -17,19 +17,18 @@
 //!   the top-ranked survivors, and assembles the
 //!   [`SearchOutcome`].
 //!
-//! Three things are first-class on the session:
+//! Two things are first-class on the session:
 //!
-//! * **Observation** — every stage transition, per-candidate verdict and
-//!   budget cut is emitted to registered
+//! * **Observation** — every stage transition (stamped with its wall
+//!   time), per-candidate verdict and budget cut is emitted to registered
 //!   [`SearchObserver`]s (see [`crate::observer`]).
 //! * **Budgets** — a [`Budget`] truncates the search gracefully *mid*-stage
 //!   at deterministic wave boundaries, instead of only at configured pool
 //!   sizes (see [`crate::budget`]).
-//! * **Snapshot/resume** — [`SearchSession::snapshot`] captures all
-//!   cross-stage state at a stage boundary;
-//!   [`SearchSession::resume`] reconstructs the session and the finished
-//!   search is bit-identical to an uninterrupted one (see
-//!   [`crate::snapshot`]).
+//!
+//! A session is not resumable on its own: interrupted searches restart at
+//! a round boundary from a [`crate::feedback::DriverCheckpoint`] (see
+//! [`crate::driver`]).
 //!
 //! The legacy entry points `Nada::run_state_search` /
 //! `Nada::run_arch_search` are thin wrappers over this API.
@@ -39,13 +38,13 @@ use crate::candidate::{Candidate, CompiledDesign};
 use crate::observer::{SearchEvent, SearchObserver};
 use crate::pipeline::{DesignResult, Nada, PrecheckStats, SearchOutcome, SearchStats};
 use crate::score::smoothed_score;
-use crate::snapshot::{config_fingerprint, SessionSnapshot, SnapshotError};
 use crate::train::{DesignTrainer, TrainOutcome, TrainRunConfig};
 use nada_dsl::CompiledState;
 use nada_earlystop::classifiers::{Classifier, DesignSample, FitConfig, RewardCnnClassifier};
 use nada_exec::pool_map_indexed;
 use nada_llm::{DesignKind, FeedbackContext, LlmClient};
 use nada_nn::ArchConfig;
+use std::time::Instant;
 
 /// One prechecked pool entry: the candidate plus the `(state, arch)` pair
 /// it trains as (the non-searched component is the workload's seed).
@@ -90,7 +89,7 @@ impl Stage {
         Stage::Done,
     ];
 
-    /// Stable lowercase name (used by snapshots and reports).
+    /// Stable lowercase name (used by logs and reports).
     pub fn name(&self) -> &'static str {
         match self {
             Stage::Generate => "generate",
@@ -145,14 +144,21 @@ impl std::fmt::Display for WrongStage {
 
 impl std::error::Error for WrongStage {}
 
-/// An observable, budgeted, resumable search over one [`Nada`] pipeline.
+/// The generated candidate pool of a session, as captured by
+/// [`SearchSession::snapshot`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SessionSnapshot {
+    /// The generated candidate pool, in generation order.
+    pub candidates: Vec<Candidate>,
+}
+
+/// An observable, budgeted search over one [`Nada`] pipeline.
 pub struct SearchSession<'a> {
     nada: &'a Nada,
     kind: DesignKind,
     budget: Budget,
     /// Fed-back outcomes of earlier rounds, applied to the Generate
-    /// prompt (and carried by snapshots, so a session interrupted before
-    /// Generate still produces the same pool on resume).
+    /// prompt.
     feedback: Option<FeedbackContext>,
     /// Pre-computed full-protocol evaluation of the original design.
     /// Training the original is deterministic, so multi-round drivers
@@ -160,12 +166,9 @@ pub struct SearchSession<'a> {
     original: Option<DesignResult>,
     observers: Vec<Box<dyn SearchObserver + 'a>>,
     stage: Stage,
-    /// Emitted as a `Resumed` event when the next stage starts (observers
-    /// are typically attached only after [`SearchSession::resume`]).
-    pending_resume: Option<Stage>,
     candidates: Vec<Candidate>,
     precheck_stats: Option<PrecheckStats>,
-    /// Compiled survivors; re-derived (not serialized) on resume.
+    /// Compiled survivors of the pre-checks.
     pool: Vec<PoolEntry>,
     probes: Vec<(usize, Option<TrainOutcome>)>,
     screened: Vec<(usize, Option<TrainOutcome>, bool)>,
@@ -183,7 +186,6 @@ impl<'a> SearchSession<'a> {
             original: None,
             observers: Vec::new(),
             stage: Stage::Generate,
-            pending_resume: None,
             candidates: Vec::new(),
             precheck_stats: None,
             pool: Vec::new(),
@@ -259,7 +261,7 @@ impl<'a> SearchSession<'a> {
     /// Returns the number of candidates generated.
     pub fn generate(&mut self, llm: &mut dyn LlmClient) -> Result<usize, WrongStage> {
         self.expect(Stage::Generate)?;
-        self.start_stage(Stage::Generate);
+        let started = self.start_stage(Stage::Generate);
         let want = self.nada.config().n_candidates;
         let cap = self.budget.max_candidates.unwrap_or(usize::MAX);
         let mut prompt = self.nada.prompt_for(self.kind);
@@ -298,7 +300,7 @@ impl<'a> SearchSession<'a> {
             });
         }
         self.emit(&SearchEvent::PoolGenerated { n });
-        self.finish_stage(Stage::Generate, Stage::Precheck);
+        self.finish_stage(Stage::Generate, Stage::Precheck, started);
         Ok(n)
     }
 
@@ -306,16 +308,7 @@ impl<'a> SearchSession<'a> {
     /// compile survivors against the workload. Returns Table 2 statistics.
     pub fn precheck(&mut self) -> Result<PrecheckStats, WrongStage> {
         self.expect(Stage::Precheck)?;
-        self.start_stage(Stage::Precheck);
-        let stats = self.build_pool(true);
-        self.precheck_stats = Some(stats);
-        self.finish_stage(Stage::Precheck, Stage::Probe);
-        Ok(stats)
-    }
-
-    /// Runs the pre-checks and fills `self.pool`, optionally emitting
-    /// per-candidate events (resume re-derives the pool silently).
-    fn build_pool(&mut self, emit_events: bool) -> PrecheckStats {
+        let started = self.start_stage(Stage::Precheck);
         let results = self.nada.precheck_each(&self.candidates);
         let mut stats = PrecheckStats {
             total: self.candidates.len(),
@@ -335,22 +328,20 @@ impl<'a> SearchSession<'a> {
                         }
                         CompiledDesign::Arch(a) => pool.push((cand.clone(), seed_state.clone(), a)),
                     }
-                    if emit_events {
-                        self.emit(&SearchEvent::CandidateAccepted { id: cand.id });
-                    }
+                    self.emit(&SearchEvent::CandidateAccepted { id: cand.id });
                 }
                 Err(reason) => {
-                    if emit_events {
-                        self.emit(&SearchEvent::CandidateRejected {
-                            id: cand.id,
-                            reason: reason.to_string(),
-                        });
-                    }
+                    self.emit(&SearchEvent::CandidateRejected {
+                        id: cand.id,
+                        reason: reason.to_string(),
+                    });
                 }
             }
         }
         self.pool = pool;
-        stats
+        self.precheck_stats = Some(stats);
+        self.finish_stage(Stage::Precheck, Stage::Probe, started);
+        Ok(stats)
     }
 
     /// Number of pool entries probed (trained fully up-front).
@@ -391,7 +382,7 @@ impl<'a> SearchSession<'a> {
     /// the epoch budget is exhausted.
     pub fn probe(&mut self) -> Result<(), WrongStage> {
         self.expect(Stage::Probe)?;
-        self.start_stage(Stage::Probe);
+        let started = self.start_stage(Stage::Probe);
         let probes: Vec<PoolEntry> = self.pool[..self.n_probe()].to_vec();
         let run_cfg = TrainRunConfig::from(self.nada.config());
         let mut idx = 0;
@@ -439,7 +430,7 @@ impl<'a> SearchSession<'a> {
             }
             self.probes.extend(results);
         }
-        self.finish_stage(Stage::Probe, Stage::Screen);
+        self.finish_stage(Stage::Probe, Stage::Screen, started);
         Ok(())
     }
 
@@ -493,7 +484,7 @@ impl<'a> SearchSession<'a> {
     /// budget runs out.
     pub fn screen(&mut self) -> Result<(), WrongStage> {
         self.expect(Stage::Screen)?;
-        self.start_stage(Stage::Screen);
+        let started = self.start_stage(Stage::Screen);
         let rest: Vec<PoolEntry> = self.pool[self.n_probe()..].to_vec();
         let run_cfg = TrainRunConfig::from(self.nada.config());
         let early_epochs = self.nada.config().early_epochs;
@@ -594,7 +585,7 @@ impl<'a> SearchSession<'a> {
             }
             self.screened.extend(results);
         }
-        self.finish_stage(Stage::Screen, Stage::Finalize);
+        self.finish_stage(Stage::Screen, Stage::Finalize, started);
         Ok(())
     }
 
@@ -627,7 +618,7 @@ impl<'a> SearchSession<'a> {
     /// the original) once the epoch budget is exhausted.
     pub fn finalize(&mut self) -> Result<SearchOutcome, WrongStage> {
         self.expect(Stage::Finalize)?;
-        self.start_stage(Stage::Finalize);
+        let started = self.start_stage(Stage::Finalize);
         let original = self
             .original
             .clone()
@@ -699,7 +690,7 @@ impl<'a> SearchSession<'a> {
             ranked,
             stats: self.stats,
         };
-        self.finish_stage(Stage::Finalize, Stage::Done);
+        self.finish_stage(Stage::Finalize, Stage::Done, started);
         Ok(outcome)
     }
 
@@ -745,57 +736,11 @@ impl<'a> SearchSession<'a> {
         }
     }
 
-    // ---- snapshot / resume -------------------------------------------------
-
-    /// Captures all cross-stage state at the current stage boundary.
+    /// The generated candidate pool so far (empty before Generate).
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
-            fingerprint: config_fingerprint(self.nada),
-            kind: self.kind,
-            next_stage: self.stage,
-            budget: self.budget,
-            feedback: self.feedback.clone(),
             candidates: self.candidates.clone(),
-            precheck: self.precheck_stats,
-            probes: self.probes.clone(),
-            screened: self.screened.clone(),
-            stats: self.stats,
         }
-    }
-
-    /// Reconstructs a session from a snapshot taken against the same
-    /// pipeline. Compiled designs are re-derived (deterministically) from
-    /// the stored candidate pool; the resumed session's finished
-    /// [`SearchOutcome`] is bit-identical to an uninterrupted run's.
-    pub fn resume(nada: &'a Nada, snapshot: SessionSnapshot) -> Result<Self, SnapshotError> {
-        let expected = config_fingerprint(nada);
-        if snapshot.fingerprint != expected {
-            return Err(SnapshotError(format!(
-                "snapshot was taken from a different pipeline \
-                 (fingerprint {:#x}, this pipeline is {:#x})",
-                snapshot.fingerprint, expected
-            )));
-        }
-        let mut session = SearchSession::new(nada, snapshot.kind).with_budget(snapshot.budget);
-        session.feedback = snapshot.feedback;
-        session.candidates = snapshot.candidates;
-        session.precheck_stats = snapshot.precheck;
-        session.probes = snapshot.probes;
-        session.screened = snapshot.screened;
-        session.stats = snapshot.stats;
-        session.stage = snapshot.next_stage;
-        session.pending_resume = Some(snapshot.next_stage);
-        if session.stage > Stage::Precheck && session.stage < Stage::Done {
-            let rederived = session.build_pool(false);
-            if session.precheck_stats != Some(rederived) {
-                return Err(SnapshotError(format!(
-                    "re-derived pre-check statistics {rederived:?} disagree with the \
-                     snapshot's {:?} — dataset or workload changed since the snapshot",
-                    session.precheck_stats
-                )));
-            }
-        }
-        Ok(session)
     }
 
     // ---- plumbing ----------------------------------------------------------
@@ -811,16 +756,20 @@ impl<'a> SearchSession<'a> {
         }
     }
 
-    fn start_stage(&mut self, stage: Stage) {
-        if let Some(next_stage) = self.pending_resume.take() {
-            self.emit(&SearchEvent::Resumed { next_stage });
-        }
+    /// Announces `stage` and returns its start instant, which the
+    /// matching [`Self::finish_stage`] turns into the stage's wall time.
+    fn start_stage(&self, stage: Stage) -> Instant {
+        let started = Instant::now();
         self.emit(&SearchEvent::StageStarted { stage });
+        started
     }
 
-    fn finish_stage(&mut self, finished: Stage, next: Stage) {
+    fn finish_stage(&mut self, finished: Stage, next: Stage, started: Instant) {
         self.stage = next;
-        self.emit(&SearchEvent::StageFinished { stage: finished });
+        self.emit(&SearchEvent::StageFinished {
+            stage: finished,
+            elapsed: started.elapsed(),
+        });
     }
 
     fn emit(&self, event: &SearchEvent) {
@@ -984,100 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_resume_roundtrip_at_every_boundary() {
-        let nada = tiny_nada(27);
-        let reference = {
-            let mut llm = MockLlm::gpt4(27);
-            SearchSession::new(&nada, DesignKind::State)
-                .run(&mut llm)
-                .unwrap()
-        };
-        // Interrupt after each stage in turn; every resume must converge to
-        // the identical outcome.
-        for pause_after in 1..=4usize {
-            let mut llm = MockLlm::gpt4(27);
-            let mut session = SearchSession::new(&nada, DesignKind::State);
-            for step in 0..pause_after {
-                match step {
-                    0 => {
-                        session.generate(&mut llm).unwrap();
-                    }
-                    1 => {
-                        session.precheck().unwrap();
-                    }
-                    2 => session.probe().unwrap(),
-                    3 => session.screen().unwrap(),
-                    _ => unreachable!(),
-                }
-            }
-            let text = session.snapshot().encode();
-            drop(session);
-            let snap = SessionSnapshot::decode(&text).unwrap();
-            let mut resumed = SearchSession::resume(&nada, snap).unwrap();
-            let outcome = resumed.run(&mut llm).unwrap();
-            assert_eq!(reference.ranked, outcome.ranked, "pause={pause_after}");
-            assert_eq!(
-                reference.best.test_score.to_bits(),
-                outcome.best.test_score.to_bits(),
-                "pause={pause_after}"
-            );
-            assert_eq!(reference.stats, outcome.stats, "pause={pause_after}");
-        }
-    }
-
-    #[test]
-    fn feedback_survives_a_pre_generate_snapshot() {
-        use nada_llm::{FeedbackContext, FeedbackWinner};
-        let nada = tiny_nada(31);
-        let fb = FeedbackContext {
-            round: 1,
-            winners: vec![FeedbackWinner {
-                code: nada.workload().seed_state_source().to_string(),
-                score: 0.5,
-            }],
-            rejected_compile: 2,
-            rejected_normalization: 1,
-            accepted: 5,
-        };
-        // Direct: feedback attached, generate immediately.
-        let direct = {
-            let mut llm = MockLlm::gpt4(31);
-            let mut session =
-                SearchSession::new(&nada, DesignKind::State).with_feedback(fb.clone());
-            session.generate(&mut llm).unwrap();
-            session.snapshot().candidates
-        };
-        // Interrupted before Generate: the snapshot must carry the
-        // feedback, or the resumed session would generate a different
-        // (unbiased) pool.
-        let text = SearchSession::new(&nada, DesignKind::State)
-            .with_feedback(fb)
-            .snapshot()
-            .encode();
-        let snap = SessionSnapshot::decode(&text).unwrap();
-        let mut resumed = SearchSession::resume(&nada, snap).unwrap();
-        let mut llm = MockLlm::gpt4(31);
-        resumed.generate(&mut llm).unwrap();
-        assert_eq!(resumed.snapshot().candidates, direct);
-    }
-
-    #[test]
-    fn resume_rejects_a_different_pipeline() {
-        let nada = tiny_nada(28);
-        let mut llm = MockLlm::gpt4(28);
-        let mut session = SearchSession::new(&nada, DesignKind::State);
-        session.generate(&mut llm).unwrap();
-        let snap = session.snapshot();
-
-        let other = tiny_nada(29);
-        let err = match SearchSession::resume(&other, snap) {
-            Ok(_) => panic!("resume against a different pipeline must fail"),
-            Err(e) => e,
-        };
-        assert!(err.to_string().contains("different pipeline"));
-    }
-
-    #[test]
     fn stage_names_round_trip_exhaustively() {
         // `Stage::ALL` is the exhaustive variant list (the compiler pins
         // its length to the enum via the `Ord` ordering test below), so a
@@ -1092,7 +947,7 @@ mod tests {
         }
         assert_eq!(Stage::from_name("nope"), None);
         // Names are pairwise distinct (a copy-pasted name would alias two
-        // stages in snapshots).
+        // stages in logs and reports).
         for a in Stage::ALL {
             for b in Stage::ALL {
                 assert_eq!(a.name() == b.name(), a == b);

@@ -1,98 +1,29 @@
-//! Serde snapshot/resume for search sessions.
+//! Pipeline fingerprints and the shared serde codecs for durable state.
 //!
-//! A [`SessionSnapshot`] captures everything a
-//! [`crate::session::SearchSession`] has *computed* so far — the candidate
-//! pool, pre-check statistics, probe and screening outcomes, spend
-//! bookkeeping — at a stage boundary. Re-deriving the rest (compiled
-//! designs, the fitted classifier, finalist evaluations) is deterministic,
-//! so a resumed session produces a bit-identical
-//! [`crate::pipeline::SearchOutcome`] to one that was never interrupted.
+//! [`config_fingerprint`] identifies the run-defining parts of a pipeline;
+//! a [`crate::feedback::DriverCheckpoint`] records it so a resume against
+//! a different workload, dataset or configuration is refused, and the
+//! score cache keys on it. The fingerprint is a sanity check against
+//! operator error, not a cryptographic binding.
 //!
-//! Snapshots serialize through the workspace's `serde` shim: the
-//! [`serde::Serialize`]/[`serde::Deserialize`] impls below build a
-//! self-describing value tree, and `serde::text` renders it with floats as
-//! raw IEEE-754 bits — the encoding is what makes "bit-identical" a
-//! guarantee rather than a hope.
-//!
-//! A snapshot also records a [`config_fingerprint`] of the pipeline it was
-//! taken from; resuming against a pipeline with a different workload,
-//! dataset or configuration is refused. The fingerprint is a sanity check
-//! against operator error, not a cryptographic binding.
+//! The [`serde::Serialize`]/[`serde::Deserialize`] impls below cover the
+//! pieces that driver checkpoints, job specs and job results embed. They
+//! build a self-describing value tree, and `serde::text` renders it with
+//! floats as raw IEEE-754 bits, so a resumed run is bit-identical to an
+//! uninterrupted one by construction.
 
 use crate::budget::Budget;
-use crate::candidate::Candidate;
 use crate::pipeline::{Nada, PrecheckStats, SearchStats};
-use crate::session::Stage;
-use crate::train::{Checkpoint, TrainOutcome};
-use nada_llm::{DesignKind, FeedbackContext, FeedbackWinner};
+use nada_llm::DesignKind;
 use serde::value::{Error as CodecError, Value};
-use serde::{Deserialize as _, Serialize as _};
-
-use std::fmt;
-
-/// Snapshot format version; bumped on layout changes.
-/// v2 added the session's pending feedback context (a session interrupted
-/// before Generate must produce the same candidate pool on resume).
-pub const SNAPSHOT_VERSION: u64 = 2;
-
-/// Everything needed to resume a search from its last completed stage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionSnapshot {
-    /// Fingerprint of the pipeline (workload + dataset + config) the
-    /// snapshot was taken from.
-    pub fingerprint: u64,
-    /// Which design kind the search targets.
-    pub kind: DesignKind,
-    /// The first stage the resumed session must run.
-    pub next_stage: Stage,
-    /// The session's spending limits.
-    pub budget: Budget,
-    /// Fed-back outcomes of earlier rounds, when the session belongs to
-    /// an iterative search (influences the Generate stage only).
-    pub feedback: Option<FeedbackContext>,
-    /// The generated candidate pool (compiled designs are re-derived).
-    pub candidates: Vec<Candidate>,
-    /// Pre-check statistics, once the precheck stage has run.
-    pub precheck: Option<PrecheckStats>,
-    /// Probe outcomes `(candidate id, outcome)` accumulated so far.
-    pub probes: Vec<(usize, Option<TrainOutcome>)>,
-    /// Screening outcomes `(candidate id, outcome, survived)` so far.
-    pub screened: Vec<(usize, Option<TrainOutcome>, bool)>,
-    /// Spend bookkeeping accumulated so far.
-    pub stats: SearchStats,
-}
-
-impl SessionSnapshot {
-    /// Serializes to the text form (see `serde::text`).
-    pub fn encode(&self) -> String {
-        serde::text::to_string(self)
-    }
-
-    /// Parses a snapshot back from its text form.
-    pub fn decode(s: &str) -> Result<Self, SnapshotError> {
-        serde::text::from_str(s).map_err(|e| SnapshotError(e.to_string()))
-    }
-}
-
-/// Why a snapshot could not be decoded or resumed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotError(pub String);
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "snapshot error: {}", self.0)
-    }
-}
-
-impl std::error::Error for SnapshotError {}
 
 /// FNV-1a fingerprint of the run-defining parts of a pipeline: workload
 /// name *and parameters* ([`crate::workload::Workload::param_fingerprint`]),
 /// dataset, and every configuration knob that steers the search — the
 /// integer counts, the float hyperparameters (hashed by their IEEE-754
 /// bits, so `lr = 1e-3` and `lr = 2e-3` never collide), and the fuzzing
-/// parameters. The cross-tenant score cache and checkpoint/snapshot resume
-/// both trust this fingerprint, so every knob that changes a training or
+/// parameters. The cross-tenant score cache and checkpoint resume both
+/// trust this fingerprint, so every knob that changes a training or
 /// evaluation result must be folded in here.
 pub fn config_fingerprint(nada: &Nada) -> u64 {
     let cfg = nada.config();
@@ -168,9 +99,9 @@ impl Fnv {
 
 // ---- serde impls -----------------------------------------------------------
 //
-// `DesignKind` lives in `nada-llm`, so its encoding is inlined here (orphan
-// rules); everything else is a crate-local type and implements the shim's
-// traits directly.
+// `DesignKind` lives in `nada-llm`, so its encoding is a pair of helpers
+// (orphan rules); the crate-local types implement the shim's traits
+// directly.
 
 pub(crate) fn kind_to_value(kind: DesignKind) -> Value {
     Value::Str(kind.name().to_string())
@@ -181,68 +112,6 @@ pub(crate) fn kind_from_value(v: &Value) -> Result<DesignKind, CodecError> {
         "state" => Ok(DesignKind::State),
         "architecture" => Ok(DesignKind::Architecture),
         other => Err(CodecError::new(format!("unknown design kind `{other}`"))),
-    }
-}
-
-// `FeedbackContext` also lives in `nada-llm`; encoded via helpers for the
-// same orphan-rule reason as `DesignKind`.
-pub(crate) fn feedback_to_value(fb: &FeedbackContext) -> Value {
-    Value::Map(vec![
-        ("round".into(), fb.round.to_value()),
-        (
-            "winners".into(),
-            Value::List(
-                fb.winners
-                    .iter()
-                    .map(|w| {
-                        Value::Map(vec![
-                            ("code".into(), w.code.to_value()),
-                            ("score".into(), w.score.to_value()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("rejected_compile".into(), fb.rejected_compile.to_value()),
-        (
-            "rejected_normalization".into(),
-            fb.rejected_normalization.to_value(),
-        ),
-        ("accepted".into(), fb.accepted.to_value()),
-    ])
-}
-
-pub(crate) fn feedback_from_value(v: &Value) -> Result<FeedbackContext, CodecError> {
-    let winners = v
-        .field("winners")?
-        .as_list()?
-        .iter()
-        .map(|w| {
-            Ok(FeedbackWinner {
-                code: String::from_value(w.field("code")?)?,
-                score: f64::from_value(w.field("score")?)?,
-            })
-        })
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    Ok(FeedbackContext {
-        round: usize::from_value(v.field("round")?)?,
-        winners,
-        rejected_compile: usize::from_value(v.field("rejected_compile")?)?,
-        rejected_normalization: usize::from_value(v.field("rejected_normalization")?)?,
-        accepted: usize::from_value(v.field("accepted")?)?,
-    })
-}
-
-impl serde::Serialize for Stage {
-    fn to_value(&self) -> Value {
-        Value::Str(self.name().to_string())
-    }
-}
-
-impl serde::Deserialize for Stage {
-    fn from_value(v: &Value) -> Result<Self, CodecError> {
-        Stage::from_name(v.as_str()?)
-            .ok_or_else(|| CodecError::new(format!("unknown stage `{v:?}`")))
     }
 }
 
@@ -261,69 +130,11 @@ impl serde::Deserialize for Budget {
         Ok(Self {
             max_candidates: Option::from_value(v.field("max_candidates")?)?,
             max_epochs: Option::from_value(v.field("max_epochs")?)?,
-            // Absent in snapshots written before token budgets existed.
+            // Absent in checkpoints written before token budgets existed.
             max_token_cost: match v.field("max_token_cost") {
                 Ok(val) => Option::from_value(val)?,
                 Err(_) => None,
             },
-        })
-    }
-}
-
-impl serde::Serialize for Candidate {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("id".into(), self.id.to_value()),
-            ("kind".into(), kind_to_value(self.kind)),
-            ("code".into(), self.code.to_value()),
-            ("reasoning".into(), self.reasoning.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for Candidate {
-    fn from_value(v: &Value) -> Result<Self, CodecError> {
-        Ok(Self {
-            id: usize::from_value(v.field("id")?)?,
-            kind: kind_from_value(v.field("kind")?)?,
-            code: String::from_value(v.field("code")?)?,
-            reasoning: Option::from_value(v.field("reasoning")?)?,
-        })
-    }
-}
-
-impl serde::Serialize for Checkpoint {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("epoch".into(), self.epoch.to_value()),
-            ("test_score".into(), self.test_score.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for Checkpoint {
-    fn from_value(v: &Value) -> Result<Self, CodecError> {
-        Ok(Self {
-            epoch: usize::from_value(v.field("epoch")?)?,
-            test_score: f64::from_value(v.field("test_score")?)?,
-        })
-    }
-}
-
-impl serde::Serialize for TrainOutcome {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("reward_curve".into(), self.reward_curve.to_value()),
-            ("checkpoints".into(), self.checkpoints.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for TrainOutcome {
-    fn from_value(v: &Value) -> Result<Self, CodecError> {
-        Ok(Self {
-            reward_curve: Vec::from_value(v.field("reward_curve")?)?,
-            checkpoints: Vec::from_value(v.field("checkpoints")?)?,
         })
     }
 }
@@ -371,7 +182,7 @@ impl serde::Deserialize for SearchStats {
             skipped: usize::from_value(v.field("skipped")?)?,
             epochs_spent: usize::from_value(v.field("epochs_spent")?)?,
             epochs_saved: usize::from_value(v.field("epochs_saved")?)?,
-            // Absent in snapshots written before token accounting existed.
+            // Absent in checkpoints written before token accounting existed.
             llm_tokens_spent: match v.field("llm_tokens_spent") {
                 Ok(val) => u64::from_value(val)?,
                 Err(_) => 0,
@@ -380,132 +191,12 @@ impl serde::Deserialize for SearchStats {
     }
 }
 
-impl serde::Serialize for SessionSnapshot {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("version".into(), SNAPSHOT_VERSION.to_value()),
-            ("fingerprint".into(), self.fingerprint.to_value()),
-            ("kind".into(), kind_to_value(self.kind)),
-            ("next_stage".into(), self.next_stage.to_value()),
-            ("budget".into(), self.budget.to_value()),
-            (
-                "feedback".into(),
-                match &self.feedback {
-                    Some(fb) => feedback_to_value(fb),
-                    None => Value::Null,
-                },
-            ),
-            ("candidates".into(), self.candidates.to_value()),
-            ("precheck".into(), self.precheck.to_value()),
-            ("probes".into(), self.probes.to_value()),
-            ("screened".into(), self.screened.to_value()),
-            ("stats".into(), self.stats.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for SessionSnapshot {
-    fn from_value(v: &Value) -> Result<Self, CodecError> {
-        let version = u64::from_value(v.field("version")?)?;
-        if version != SNAPSHOT_VERSION {
-            return Err(CodecError::new(format!(
-                "snapshot version {version} unsupported (expected {SNAPSHOT_VERSION})"
-            )));
-        }
-        Ok(Self {
-            fingerprint: u64::from_value(v.field("fingerprint")?)?,
-            kind: kind_from_value(v.field("kind")?)?,
-            next_stage: Stage::from_value(v.field("next_stage")?)?,
-            budget: Budget::from_value(v.field("budget")?)?,
-            feedback: match v.field("feedback")? {
-                Value::Null => None,
-                fb => Some(feedback_from_value(fb)?),
-            },
-            candidates: Vec::from_value(v.field("candidates")?)?,
-            precheck: Option::from_value(v.field("precheck")?)?,
-            probes: Vec::from_value(v.field("probes")?)?,
-            screened: Vec::from_value(v.field("screened")?)?,
-            stats: SearchStats::from_value(v.field("stats")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{NadaConfig, RunScale};
+    use crate::driver::SearchDriver;
     use nada_traces::dataset::DatasetKind;
-
-    fn sample_snapshot() -> SessionSnapshot {
-        SessionSnapshot {
-            fingerprint: 0xDEAD_BEEF,
-            kind: DesignKind::State,
-            next_stage: Stage::Screen,
-            budget: Budget::unlimited().with_max_epochs(123),
-            feedback: Some(FeedbackContext {
-                round: 2,
-                winners: vec![FeedbackWinner {
-                    code: "state w { feature f = ema(x, 0.5); }".into(),
-                    score: -0.125,
-                }],
-                rejected_compile: 4,
-                rejected_normalization: 1,
-                accepted: 3,
-            }),
-            candidates: vec![Candidate {
-                id: 0,
-                kind: DesignKind::State,
-                code: "state s {\n  feature f = \"odd\\chars\";\n}".into(),
-                reasoning: Some("because\nreasons".into()),
-            }],
-            precheck: Some(PrecheckStats {
-                total: 8,
-                compilable: 6,
-                normalized: 5,
-            }),
-            probes: vec![
-                (
-                    0,
-                    Some(TrainOutcome {
-                        reward_curve: vec![0.1, -0.25, f64::MIN_POSITIVE],
-                        checkpoints: vec![Checkpoint {
-                            epoch: 10,
-                            test_score: 0.375,
-                        }],
-                    }),
-                ),
-                (3, None),
-            ],
-            screened: vec![(5, None, false)],
-            stats: SearchStats {
-                early_stopped: 1,
-                fully_trained: 2,
-                failed: 1,
-                skipped: 3,
-                epochs_spent: 90,
-                epochs_saved: 20,
-                llm_tokens_spent: 512,
-            },
-        }
-    }
-
-    #[test]
-    fn snapshot_round_trips_bit_exactly() {
-        let snap = sample_snapshot();
-        let text = snap.encode();
-        let back = SessionSnapshot::decode(&text).expect("decode");
-        assert_eq!(snap, back);
-        // Float bits survive exactly.
-        let (_, out) = (&back.probes[0].0, back.probes[0].1.as_ref().unwrap());
-        assert_eq!(out.reward_curve[2].to_bits(), f64::MIN_POSITIVE.to_bits());
-    }
-
-    #[test]
-    fn corrupted_snapshots_are_rejected() {
-        let text = sample_snapshot().encode();
-        assert!(SessionSnapshot::decode(&text[..text.len() / 2]).is_err());
-        assert!(SessionSnapshot::decode("{}").is_err());
-    }
 
     #[test]
     fn fingerprint_distinguishes_configs_and_workloads() {
@@ -533,9 +224,19 @@ mod tests {
         assert_ne!(a, cc);
     }
 
+    /// A driver checkpoint taken against `a` must refuse to resume
+    /// against `b`.
+    fn assert_resume_refused(a: &Nada, b: &Nada) {
+        let ckpt = SearchDriver::new(a, DesignKind::State).checkpoint();
+        let Err(err) = SearchDriver::resume(b, ckpt) else {
+            panic!("resume must refuse a mismatched fingerprint");
+        };
+        assert!(err.to_string().contains("different pipeline"), "{err}");
+    }
+
     /// Regression: float knobs (lr here) were once invisible to the
     /// fingerprint, so runs differing only in lr shared score-cache
-    /// entries and resumed each other's snapshots.
+    /// entries and resumed each other's checkpoints.
     #[test]
     fn lr_only_differences_share_neither_cache_keys_nor_snapshots() {
         let base = NadaConfig::new(DatasetKind::Fcc, RunScale::Tiny, 1);
@@ -551,13 +252,8 @@ mod tests {
         assert_ne!(full_key(fa, "s", "arch"), full_key(fb, "s", "arch"));
         assert_ne!(probe_key(fa, "s", "arch", 7), probe_key(fb, "s", "arch", 7));
 
-        // ... and a snapshot from one refuses to resume against the other.
-        let mut snap = sample_snapshot();
-        snap.fingerprint = fa;
-        let Err(err) = crate::session::SearchSession::resume(&b, snap) else {
-            panic!("resume must refuse a mismatched fingerprint");
-        };
-        assert!(err.to_string().contains("different pipeline"), "{err}");
+        // ... and a checkpoint from one refuses to resume against the other.
+        assert_resume_refused(&a, &b);
     }
 
     /// Regression: workload-level parameters (CC reward weights) were
@@ -587,11 +283,6 @@ mod tests {
         assert_ne!(full_key(fa, "s", "arch"), full_key(fb, "s", "arch"));
         assert_ne!(probe_key(fa, "s", "arch", 7), probe_key(fb, "s", "arch", 7));
 
-        let mut snap = sample_snapshot();
-        snap.fingerprint = fa;
-        let Err(err) = crate::session::SearchSession::resume(&b, snap) else {
-            panic!("resume must refuse a mismatched fingerprint");
-        };
-        assert!(err.to_string().contains("different pipeline"), "{err}");
+        assert_resume_refused(&a, &b);
     }
 }

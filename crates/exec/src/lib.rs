@@ -6,22 +6,16 @@
 //! map** over an owned work list. It lives here so `nada-core` and
 //! `nada-bench` use a single implementation with a single test suite.
 //!
-//! Two engines provide that primitive:
+//! [`WorkPool`] provides that primitive, and [`pool_map`] runs it on the
+//! process-wide instance: long-lived workers pull from a shared injector
+//! queue, so concurrent maps (e.g. episodes of different candidate
+//! designs) share the same cores. When one batch runs out of unclaimed
+//! items, workers immediately flow to the next queued batch instead of
+//! idling at a join barrier. The calling thread always participates,
+//! claiming items from its own batch, so nested maps cannot deadlock and a
+//! pool with zero workers degrades to sequential execution.
 //!
-//! * [`parallel_map`] — the original scoped-thread fan-out: spawns workers
-//!   per call, joins them before returning. Simple, but each call pays
-//!   thread spawn/join latency and two concurrent calls oversubscribe the
-//!   machine instead of sharing it.
-//! * [`WorkPool`] / [`pool_map`] — a process-wide pool of long-lived
-//!   workers pulling from a shared injector queue. Concurrent maps (e.g.
-//!   episodes of different candidate designs) share the same cores: when
-//!   one batch runs out of unclaimed items, workers immediately flow to
-//!   the next queued batch instead of idling at a join barrier. The
-//!   calling thread always participates, claiming items from its own
-//!   batch, so nested maps cannot deadlock and a pool with zero workers
-//!   degrades to sequential execution.
-//!
-//! Guarantees (both engines):
+//! Guarantees:
 //!
 //! * **Order preservation** — slot `i` of the output is `f(items[i])`,
 //!   regardless of which worker ran it or when it finished.
@@ -55,57 +49,6 @@ fn pool_metrics() -> &'static PoolMetrics {
         queue_depth: nada_obs::gauge("workpool_queue_depth"),
         workers_busy: nada_obs::gauge("workpool_workers_busy"),
     })
-}
-
-/// Order-preserving parallel map over an owned vector using scoped threads,
-/// with one worker per available CPU core (capped at the item count).
-pub fn parallel_map<T: Send, R: Send>(items: Vec<T>, f: &(impl Fn(T) -> R + Sync)) -> Vec<R> {
-    parallel_map_workers(items, available_workers(), f)
-}
-
-/// [`parallel_map`] with an explicit worker budget. `max_workers` is clamped
-/// to `1..=items.len()`, so `0` degrades to sequential execution rather than
-/// deadlocking.
-pub fn parallel_map_workers<T: Send, R: Send>(
-    items: Vec<T>,
-    max_workers: usize,
-    f: &(impl Fn(T) -> R + Sync),
-) -> Vec<R> {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = max_workers.clamp(1, n);
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let out: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("no poisoned locks: workers do not panic while holding them")
-                    .take()
-                    .expect("each slot is taken exactly once");
-                let result = f(item);
-                *out[i].lock().expect("result slot lock") = Some(result);
-            });
-        }
-    });
-    out.into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("scope joined")
-                .expect("all slots filled")
-        })
-        .collect()
 }
 
 /// The default worker budget: one per available CPU core.
@@ -151,9 +94,8 @@ pub fn global_pool() -> &'static WorkPool {
     POOL.get_or_init(|| WorkPool::new(configured_workers()))
 }
 
-/// Order-preserving parallel map over the process-wide pool — a drop-in
-/// replacement for [`parallel_map`] that shares workers across concurrent
-/// callers instead of spawning a fresh thread set per call.
+/// Order-preserving parallel map over the process-wide pool: workers are
+/// shared across concurrent callers instead of spawned per call.
 pub fn pool_map<T: Send, R: Send>(items: Vec<T>, f: &(impl Fn(T) -> R + Sync)) -> Vec<R> {
     global_pool().map(items, f)
 }
@@ -254,7 +196,8 @@ fn record_done(batch: &BatchState, panic: Option<Box<dyn Any + Send>>) {
 /// * Results land in their submission-order slot, so output order — and
 ///   with a pure `f`, output *content* — is independent of worker count
 ///   and scheduling. One global instance lives behind [`global_pool`];
-///   dedicated instances are for tests.
+///   a dedicated instance gives its caller a width of its own (tests, and
+///   `run_all`'s experiment-level fan-out).
 pub struct WorkPool {
     shared: Arc<PoolShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -359,8 +302,7 @@ impl WorkPool {
             .collect()
     }
 
-    /// Order-preserving parallel map over an owned work list — the pool
-    /// counterpart of [`parallel_map`].
+    /// Order-preserving parallel map over an owned work list.
     pub fn map<T: Send, R: Send>(&self, items: Vec<T>, f: &(impl Fn(T) -> R + Sync)) -> Vec<R> {
         let n = items.len();
         let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
@@ -438,7 +380,7 @@ mod tests {
     #[test]
     fn preserves_order() {
         let xs: Vec<usize> = (0..500).collect();
-        let ys = parallel_map(xs, &|x| x * 2);
+        let ys = pool_map(xs, &|x| x * 2);
         assert_eq!(ys, (0..500).map(|x| x * 2).collect::<Vec<_>>());
     }
 
@@ -454,7 +396,7 @@ mod tests {
     #[test]
     fn runs_every_item_exactly_once() {
         let calls = AtomicUsize::new(0);
-        let ys = parallel_map((0..256).collect(), &|x: usize| {
+        let ys = pool_map((0..256).collect(), &|x: usize| {
             calls.fetch_add(1, Ordering::Relaxed);
             x
         });
@@ -464,34 +406,14 @@ mod tests {
 
     #[test]
     fn empty_input_is_a_no_op() {
-        let ys: Vec<usize> = parallel_map(Vec::<usize>::new(), &|x| x);
+        let ys: Vec<usize> = pool_map(Vec::<usize>::new(), &|x| x);
         assert!(ys.is_empty());
-    }
-
-    #[test]
-    fn worker_count_is_clamped() {
-        // 0 workers degrades to sequential; absurd worker counts clamp to n.
-        assert_eq!(
-            parallel_map_workers(vec![1, 2, 3], 0, &|x| x + 1),
-            vec![2, 3, 4]
-        );
-        assert_eq!(
-            parallel_map_workers((0..4).collect(), 10_000, &|x: usize| x),
-            vec![0, 1, 2, 3]
-        );
-    }
-
-    #[test]
-    fn single_worker_matches_sequential() {
-        let xs: Vec<i64> = (0..64).collect();
-        let seq: Vec<i64> = xs.iter().map(|x| x * x).collect();
-        assert_eq!(parallel_map_workers(xs, 1, &|x| x * x), seq);
     }
 
     #[test]
     fn panics_propagate_to_the_caller() {
         let result = std::panic::catch_unwind(|| {
-            parallel_map((0..64).collect(), &|x: usize| {
+            pool_map((0..64).collect(), &|x: usize| {
                 if x == 17 {
                     panic!("boom at {x}");
                 }
@@ -503,15 +425,24 @@ mod tests {
 
     #[test]
     fn results_do_not_depend_on_worker_count() {
-        let xs: Vec<u64> = (0..200).collect();
-        let expect: Vec<u64> = xs
-            .iter()
-            .map(|x| x.wrapping_mul(31).rotate_left(7))
-            .collect();
-        for workers in [1, 2, 3, 8] {
-            let got =
-                parallel_map_workers(xs.clone(), workers, &|x| x.wrapping_mul(31).rotate_left(7));
-            assert_eq!(got, expect, "workers={workers}");
+        // A pure f gives the plain sequential map's output at every
+        // concurrency, including the degenerate 0 ("no pool threads") and
+        // 1, and with more workers than items.
+        let xs: Vec<u64> = (0..300).collect();
+        let f = |x: u64| x.wrapping_mul(37).rotate_left(11);
+        let expect: Vec<u64> = xs.iter().copied().map(f).collect();
+        for workers in [0, 1, 2, 3, 8] {
+            assert_eq!(
+                WorkPool::new(workers).map(xs.clone(), &f),
+                expect,
+                "workers={workers}"
+            );
+            let few = xs[..3].to_vec();
+            assert_eq!(
+                WorkPool::new(workers).map(few, &f),
+                expect[..3],
+                "workers={workers}"
+            );
         }
     }
 
@@ -520,20 +451,6 @@ mod tests {
         let pool = WorkPool::new(4);
         let ys = pool.map((0..500).collect(), &|x: usize| x * 2);
         assert_eq!(ys, (0..500).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pool_matches_parallel_map_for_any_worker_count() {
-        // The pool and the scoped-thread engine must produce identical
-        // outputs for a pure f, at every concurrency including the
-        // degenerate 0 ("no pool threads") and 1.
-        let xs: Vec<u64> = (0..300).collect();
-        let expect = parallel_map(xs.clone(), &|x| x.wrapping_mul(37).rotate_left(11));
-        for workers in [0, 1, 2, 3, 8] {
-            let pool = WorkPool::new(workers);
-            let got = pool.map(xs.clone(), &|x| x.wrapping_mul(37).rotate_left(11));
-            assert_eq!(got, expect, "workers={workers}");
-        }
     }
 
     #[test]

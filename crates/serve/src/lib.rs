@@ -18,7 +18,7 @@
 //! ```
 //!
 //! The payload is a UTF-8 string in the workspace text codec (the same
-//! self-describing format the snapshot/checkpoint files use). Frames
+//! self-describing format the checkpoint files use). Frames
 //! above 8 MiB are rejected before allocation. One request frame yields
 //! exactly one response frame; connections are persistent and carry any
 //! number of round trips. See [`wire`] for the codec and [`proto`] for

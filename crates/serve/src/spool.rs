@@ -118,7 +118,8 @@ impl Spool {
                 .map_err(|e| decode_err("spec", e.to_string()))?;
             let checkpoint = match fs::read_to_string(self.path(id, "ckpt")) {
                 Ok(text) => Some(
-                    DriverCheckpoint::decode(&text).map_err(|e| decode_err("checkpoint", e.0))?,
+                    DriverCheckpoint::decode(&text)
+                        .map_err(|e| decode_err("checkpoint", e.to_string()))?,
                 ),
                 Err(e) if e.kind() == io::ErrorKind::NotFound => None,
                 Err(e) => return Err(e),

@@ -3,11 +3,12 @@
 //! shut down gracefully.
 
 use std::fs;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use nada_core::jobspec::JobSpec;
-use nada_serve::{Client, ClientError, Daemon};
+use nada_serve::{read_frame, write_frame, Client, ClientError, Daemon, Response};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nada-serve-e2e-{name}-{}", std::process::id()));
@@ -79,5 +80,36 @@ fn daemon_serves_submit_poll_result_cancel_and_shutdown() {
         .unwrap();
     assert_eq!(spooled.len(), 2);
     assert!(spooled.iter().all(|j| j.result.is_some()));
+    let _ = fs::remove_dir_all(root);
+}
+
+/// A frame of a million `[` once overflowed the request decoder's stack
+/// and aborted the whole daemon. It must get the same error reply as any
+/// undecodable request, and the daemon must keep answering.
+#[test]
+fn deeply_nested_frame_is_refused_and_the_daemon_keeps_serving() {
+    let root = scratch("deep");
+    let daemon = Daemon::bind("127.0.0.1:0", root.clone()).unwrap();
+    let addr = daemon.local_addr().unwrap();
+    let server = std::thread::spawn(move || daemon.run());
+
+    let mut raw = TcpStream::connect(addr).unwrap();
+    write_frame(&mut raw, &"[".repeat(1_000_000)).unwrap();
+    let reply = read_frame(&mut raw).unwrap().expect("the daemon replies");
+    match Response::decode(&reply).unwrap() {
+        Response::Error { message } => {
+            assert!(message.contains("bad request"), "{message}");
+            assert!(message.contains("nesting"), "{message}");
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+
+    let mut client = Client::connect(addr).unwrap();
+    client.ping().expect("daemon still answers ping");
+    client.shutdown().expect("daemon acknowledges shutdown");
+    server
+        .join()
+        .expect("daemon thread joins")
+        .expect("daemon exits cleanly");
     let _ = fs::remove_dir_all(root);
 }

@@ -11,10 +11,10 @@
 //!   round-trip through the self-describing [`Value`] tree and the
 //!   [`text`] codec. Floats travel as raw IEEE-754 bits, so a
 //!   serialize→deserialize round trip is *bit-exact* — the property the
-//!   pipeline's snapshot/resume support is built on.
+//!   pipeline's checkpoint/resume support is built on.
 //!
-//! Types that need runtime serialization (`nada-core`'s session
-//! snapshots) implement the traits by hand; everything else keeps the
+//! Types that need runtime serialization (`nada-core`'s driver
+//! checkpoints, the daemon's wire protocol) implement the traits by hand; everything else keeps the
 //! no-op derive. If registry access ever appears, swapping in real serde
 //! is a Cargo.toml change plus deleting the manual impls.
 

@@ -14,12 +14,20 @@
 //! ```
 //!
 //! The float encoding (`f3ff0000000000000` = `1.0`) is the whole point:
-//! decimal formatting would lose bits, and session resume must reproduce
-//! scores *bit-exactly*.
+//! decimal formatting would lose bits, and checkpoint resume must
+//! reproduce scores *bit-exactly*.
+//!
+//! Lists and maps nest at most [`MAX_DEPTH`] levels: the parser recurses
+//! once per level, and a daemon decodes untrusted frames with it, so
+//! deeper input is an [`Error`] rather than a stack overflow.
 
 use crate::value::{Error, Value};
 use crate::{Deserialize, Serialize};
 use std::fmt::Write as _;
+
+/// The deepest list/map nesting [`parse`] accepts. Real payloads nest
+/// fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// Serializes a value to its text form.
 pub fn to_string<T: Serialize + ?Sized>(t: &T) -> String {
@@ -39,7 +47,7 @@ pub fn parse(s: &str) -> Result<Value, Error> {
         chars: s.char_indices().peekable(),
         src: s,
     };
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     match p.chars.next() {
         None => Ok(v),
@@ -119,9 +127,16 @@ impl Parser<'_> {
             .ok_or_else(|| Error::new(format!("unexpected end of input, wanted {what}")))
     }
 
-    fn value(&mut self) -> Result<Value, Error> {
+    /// Parses one value nested inside `depth` lists/maps.
+    fn value(&mut self, depth: usize) -> Result<Value, Error> {
         self.skip_ws();
-        match self.next_or("a value")? {
+        let c = self.next_or("a value")?;
+        if depth == MAX_DEPTH && (c == '[' || c == '{') {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        match c {
             '~' => Ok(Value::Null),
             'T' => Ok(Value::Bool(true)),
             'F' => Ok(Value::Bool(false)),
@@ -154,7 +169,7 @@ impl Parser<'_> {
                         self.chars.next();
                         return Ok(Value::List(items));
                     }
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                 }
             }
             '{' => {
@@ -175,7 +190,7 @@ impl Parser<'_> {
                         '=' => {}
                         other => return Err(Error::new(format!("expected `=`, got `{other}`"))),
                     }
-                    fields.push((key, self.value()?));
+                    fields.push((key, self.value(depth + 1)?));
                 }
             }
             other => Err(Error::new(format!("unexpected `{other}`"))),
@@ -255,6 +270,25 @@ mod tests {
         assert!(parse("u1 u2").is_err());
         assert!(parse("[u1").is_err());
         assert!(parse("{a=}").is_err());
+    }
+
+    #[test]
+    fn deep_lists_are_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(1_000_000)).expect_err("too deep");
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        // The bound is exact: MAX_DEPTH levels parse, one more does not.
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn deep_maps_are_an_error_not_a_stack_overflow() {
+        let err = parse(&"{a=".repeat(1_000_000)).expect_err("too deep");
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        let nest = |n: usize| format!("{}u1{}", "{a=".repeat(n), "}".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -1,18 +1,17 @@
-//! The staged `SearchSession` API: observe, budget, snapshot, resume.
+//! The staged `SearchSession` API: observe, budget, run stage by stage.
 //!
 //! ```sh
 //! cargo run --release --example session_stages
 //! ```
 //!
 //! Runs the same search as `quickstart`, but stage by stage through a
-//! `SearchSession`: a live observer narrates progress, an epoch budget
-//! keeps the run small, and the session is snapshotted to a string after
-//! screening, dropped, and resumed — finishing with the identical outcome
-//! an uninterrupted session would have produced.
+//! `SearchSession`: a live observer narrates progress and each stage's
+//! wall time, and an epoch budget keeps the run small. (Interrupted
+//! searches restart at a round boundary from a `SearchDriver`
+//! checkpoint; see the `iterate` harness.)
 
 use nada::core::{
-    Budget, FnObserver, Nada, NadaConfig, RunScale, SearchEvent, SearchSession, SessionSnapshot,
-    WorkloadRegistry,
+    Budget, FnObserver, Nada, NadaConfig, RunScale, SearchEvent, SearchSession, WorkloadRegistry,
 };
 use nada::llm::{DesignKind, MockLlm};
 use nada::traces::dataset::DatasetKind;
@@ -32,6 +31,9 @@ fn main() {
         .with_budget(Budget::unlimited().with_max_epochs(400));
     session.observe(FnObserver(|e: &SearchEvent| match e {
         SearchEvent::StageStarted { stage } => println!("-> {}", stage.name()),
+        SearchEvent::StageFinished { stage, elapsed } => {
+            println!("   {} took {elapsed:.2?}", stage.name())
+        }
         SearchEvent::PoolGenerated { n } => println!("   {n} candidates"),
         SearchEvent::BudgetExhausted { stage, skipped, .. } => {
             println!("   budget ran out in {} ({skipped} skipped)", stage.name())
@@ -48,17 +50,7 @@ fn main() {
     );
     session.probe().expect("after precheck");
     session.screen().expect("after probe");
-
-    // Interrupt: serialize all cross-stage state, drop the session...
-    let text = session.snapshot().encode();
-    drop(session);
-    println!("   snapshot: {} bytes", text.len());
-
-    // ...and resume. Compiled designs are re-derived deterministically, so
-    // the finished outcome is bit-identical to an uninterrupted run's.
-    let snapshot = SessionSnapshot::decode(&text).expect("snapshot round-trips");
-    let mut resumed = SearchSession::resume(&nada, snapshot).expect("same pipeline");
-    let outcome = resumed.finalize().expect("resume lands before finalize");
+    let outcome = session.finalize().expect("after screen");
 
     println!(
         "\noriginal {:.3} -> best {:.3} ({:+.1}%), {} designs ranked, {} epochs spent",

@@ -1,8 +1,8 @@
 //! Secret hygiene end-to-end: drive a real (loopback) HTTP search with an
 //! API key set, record it, checkpoint it, observe it — and assert the key
 //! appears in none of the artifacts the run leaves behind: the on-disk
-//! cassette, the driver checkpoint, the session snapshot, or the observer
-//! event stream. The key's only legitimate exit is the `Authorization`
+//! cassette, the driver checkpoint, a session's generated pool, or the
+//! observer event stream. The key's only legitimate exit is the `Authorization`
 //! header, which the loopback server confirms receiving.
 
 use nada::core::{CollectingObserver, Nada, NadaConfig, RunScale, SearchDriver, SearchSession};
@@ -50,7 +50,7 @@ fn the_key_never_leaves_the_authorization_header() {
     let checkpoint_path = scratch_file("hygiene.ckpt");
     let collector = CollectingObserver::new();
 
-    let snapshot_text = {
+    let pool_text = {
         let mut rec = RecordingClient::new(http_client(server.base()))
             .with_lane("hygiene", 0)
             .persist_to(&cassette_path)
@@ -62,13 +62,13 @@ fn the_key_never_leaves_the_authorization_header() {
         driver.observe(&collector);
         driver.run_round(&mut rec).expect("round completes");
 
-        // Plus a session snapshot mid-search (taken after Generate, where
-        // the LLM's output lives).
+        // Plus a session's generated pool mid-search (taken after
+        // Generate, where the LLM's output lives).
         let mut session = SearchSession::new(&nada, DesignKind::State);
         let mut replay = nada::llm::ReplayClient::from_cassette(&rec.cassette(), "hygiene", 0)
             .expect("cassette slice exists");
         session.generate(&mut replay).expect("generate runs");
-        session.snapshot().encode()
+        format!("{:?}", session.snapshot())
     };
 
     // The server did receive the key — through the one sanctioned channel.
@@ -92,7 +92,14 @@ fn the_key_never_leaves_the_authorization_header() {
         "key leaked into the checkpoint"
     );
 
-    assert!(!snapshot_text.contains(KEY), "key leaked into the snapshot");
+    assert!(
+        pool_text.contains("served"),
+        "the pool should hold the generated designs"
+    );
+    assert!(
+        !pool_text.contains(KEY),
+        "key leaked into the generated pool"
+    );
 
     let events_debug = format!("{:?}", collector.events());
     assert!(
