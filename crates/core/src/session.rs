@@ -933,6 +933,27 @@ mod tests {
     }
 
     #[test]
+    fn resume_rejects_a_different_pipeline() {
+        // A session is not resumable on its own; its round reaches a new
+        // process only through the driver checkpoint, which must resume
+        // against the pipeline that ran it and refuse any other.
+        use crate::driver::SearchDriver;
+        let nada = tiny_nada(28);
+        let mut llm = MockLlm::gpt4(28);
+        let mut driver = SearchDriver::new(&nada, DesignKind::State).with_rounds(2);
+        driver.run_round(&mut llm).unwrap();
+        let ckpt = driver.checkpoint();
+        assert!(SearchDriver::resume(&nada, ckpt.clone()).is_ok());
+
+        let other = tiny_nada(29);
+        let err = match SearchDriver::resume(&other, ckpt) {
+            Ok(_) => panic!("resume against a different pipeline must fail"),
+            Err(e) => e,
+        };
+        assert!(err.to_string().contains("different pipeline"));
+    }
+
+    #[test]
     fn stage_names_round_trip_exhaustively() {
         // `Stage::ALL` is the exhaustive variant list (the compiler pins
         // its length to the enum via the `Ord` ordering test below), so a

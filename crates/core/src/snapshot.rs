@@ -224,6 +224,58 @@ mod tests {
         assert_ne!(a, cc);
     }
 
+    #[test]
+    fn snapshot_round_trips_bit_exactly() {
+        // Every codec this module owns decodes to an equal value and
+        // re-encodes to the identical text.
+        fn round_trip<T>(value: T)
+        where
+            T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+        {
+            let text = serde::text::to_string(&value);
+            let back: T = serde::text::from_str(&text).expect("decode");
+            assert_eq!(back, value);
+            assert_eq!(serde::text::to_string(&back), text);
+        }
+        round_trip(Budget::unlimited());
+        round_trip(Budget {
+            max_candidates: Some(7),
+            max_epochs: Some(123),
+            max_token_cost: Some(u64::MAX),
+        });
+        round_trip(PrecheckStats {
+            total: 8,
+            compilable: 6,
+            normalized: 5,
+        });
+        round_trip(SearchStats {
+            early_stopped: 1,
+            fully_trained: 2,
+            failed: 1,
+            skipped: 3,
+            epochs_spent: 90,
+            epochs_saved: 20,
+            llm_tokens_spent: 512,
+        });
+        for kind in [DesignKind::State, DesignKind::Architecture] {
+            assert_eq!(kind_from_value(&kind_to_value(kind)).unwrap(), kind);
+        }
+    }
+
+    #[test]
+    fn corrupted_snapshots_are_rejected() {
+        let text = serde::text::to_string(&SearchStats {
+            epochs_spent: 90,
+            ..SearchStats::default()
+        });
+        assert!(serde::text::from_str::<SearchStats>(&text[..text.len() / 2]).is_err());
+        assert!(serde::text::from_str::<SearchStats>("{}").is_err());
+        assert!(serde::text::from_str::<PrecheckStats>("{}").is_err());
+        assert!(serde::text::from_str::<Budget>("{}").is_err());
+        assert!(kind_from_value(&Value::Str("bogus".into())).is_err());
+        assert!(kind_from_value(&Value::Null).is_err());
+    }
+
     /// A driver checkpoint taken against `a` must refuse to resume
     /// against `b`.
     fn assert_resume_refused(a: &Nada, b: &Nada) {

@@ -424,25 +424,37 @@ mod tests {
     }
 
     #[test]
+    fn worker_count_is_clamped() {
+        // 0 workers degrades to sequential on the calling thread; more
+        // workers than items leaves the surplus idle.
+        assert_eq!(
+            WorkPool::new(0).map(vec![1, 2, 3], &|x| x + 1),
+            vec![2, 3, 4]
+        );
+        assert_eq!(
+            WorkPool::new(8).map((0..4).collect(), &|x: usize| x),
+            vec![0, 1, 2, 3]
+        );
+    }
+
+    #[test]
+    fn single_worker_matches_sequential() {
+        let xs: Vec<i64> = (0..64).collect();
+        let seq: Vec<i64> = xs.iter().map(|x| x * x).collect();
+        assert_eq!(WorkPool::new(1).map(xs, &|x| x * x), seq);
+    }
+
+    #[test]
     fn results_do_not_depend_on_worker_count() {
-        // A pure f gives the plain sequential map's output at every
-        // concurrency, including the degenerate 0 ("no pool threads") and
-        // 1, and with more workers than items.
-        let xs: Vec<u64> = (0..300).collect();
-        let f = |x: u64| x.wrapping_mul(37).rotate_left(11);
-        let expect: Vec<u64> = xs.iter().copied().map(f).collect();
-        for workers in [0, 1, 2, 3, 8] {
-            assert_eq!(
-                WorkPool::new(workers).map(xs.clone(), &f),
-                expect,
-                "workers={workers}"
-            );
-            let few = xs[..3].to_vec();
-            assert_eq!(
-                WorkPool::new(workers).map(few, &f),
-                expect[..3],
-                "workers={workers}"
-            );
+        let xs: Vec<u64> = (0..200).collect();
+        let expect: Vec<u64> = xs
+            .iter()
+            .map(|x| x.wrapping_mul(31).rotate_left(7))
+            .collect();
+        for workers in [1, 2, 3, 8] {
+            let got =
+                WorkPool::new(workers).map(xs.clone(), &|x| x.wrapping_mul(31).rotate_left(7));
+            assert_eq!(got, expect, "workers={workers}");
         }
     }
 
@@ -451,6 +463,20 @@ mod tests {
         let pool = WorkPool::new(4);
         let ys = pool.map((0..500).collect(), &|x: usize| x * 2);
         assert_eq!(ys, (0..500).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pool_matches_parallel_map_for_any_worker_count() {
+        // A dedicated pool and the process-wide parallel map (`pool_map`)
+        // must produce identical outputs for a pure f, at every
+        // concurrency including the degenerate 0 ("no pool threads") and 1.
+        let xs: Vec<u64> = (0..300).collect();
+        let expect = pool_map(xs.clone(), &|x| x.wrapping_mul(37).rotate_left(11));
+        for workers in [0, 1, 2, 3, 8] {
+            let pool = WorkPool::new(workers);
+            let got = pool.map(xs.clone(), &|x| x.wrapping_mul(37).rotate_left(11));
+            assert_eq!(got, expect, "workers={workers}");
+        }
     }
 
     #[test]
